@@ -44,9 +44,10 @@ from ..serialize import Reader, SerializationError, Writer
 from ..storage.blobs import BlobId, principal_hash
 from .sealed import bind_context, open_verified, seal_and_sign
 
-#: staged wire-call kinds, mirroring the client's batching helpers so a
-#: replay reproduces the exact request grouping (and therefore the
-#: exact simulated network cost) of the original mutation.
+#: staged wire-call kinds, mirroring the blob-I/O layer's write calls
+#: (``repro.fs.scheduler``) so a replay reproduces the exact request
+#: grouping (and therefore the exact simulated network cost) of the
+#: original mutation.
 PUT = "put"
 PUT_MANY = "put_many"
 DELETE = "delete"
@@ -198,56 +199,6 @@ def open_journal(provider: CryptoProvider, user,
         raise IntegrityError(
             f"journal for {user.user_id}: verified payload is "
             f"structurally corrupt: {exc}") from exc
-
-
-class MutationBatch:
-    """Staged wire calls plus a read-your-writes overlay for one op.
-
-    While a batch is active the client defers every put/delete here
-    instead of sending it, preserving the original request *grouping*
-    (a ``put_many`` stays one round trip on replay).  Reads during the
-    op consult the overlay first, so an op that re-reads a blob it just
-    wrote (e.g. ``symlink`` resolving its fresh entry with caching
-    disabled) observes its own staged state.
-    """
-
-    def __init__(self, op: str):
-        self.op = op
-        self.calls: list[StagedCall] = []
-        self._writes: dict[BlobId, bytes] = {}
-        self._deletes: set[BlobId] = set()
-
-    def stage(self, kind: str,
-              blobs: list[tuple[BlobId, bytes | None]]) -> None:
-        self.calls.append(StagedCall(kind=kind, blobs=tuple(blobs)))
-        for blob_id, payload in blobs:
-            if payload is None:
-                self._writes.pop(blob_id, None)
-                self._deletes.add(blob_id)
-            else:
-                self._deletes.discard(blob_id)
-                self._writes[blob_id] = payload
-
-    def read(self, blob_id: BlobId) -> tuple[bool, bytes | None]:
-        """Overlay lookup: (covered?, payload-or-None-if-deleted)."""
-        if blob_id in self._writes:
-            return True, self._writes[blob_id]
-        if blob_id in self._deletes:
-            return True, None
-        return False, None
-
-    def exists(self, blob_id: BlobId) -> bool | None:
-        """Overlay existence: True/False if covered, None to fall through."""
-        if blob_id in self._writes:
-            return True
-        if blob_id in self._deletes:
-            return False
-        return None
-
-    def record(self, seq: int,
-               fences: tuple[tuple[int, int], ...] = ()) -> IntentRecord:
-        return IntentRecord(seq=seq, op=self.op, calls=tuple(self.calls),
-                            fences=fences)
 
 
 @dataclass

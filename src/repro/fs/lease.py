@@ -42,6 +42,7 @@ What the untrusted SSP can and cannot do to a lease:
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..crypto import rsa
@@ -199,8 +200,7 @@ class LeaseManager:
     def _span(self, name: str, **tags):
         if self._tracer is not None:
             return self._tracer.span(name, **tags)
-        from ..storage.resilient import _NULL_SCOPE
-        return _NULL_SCOPE
+        return nullcontext()
 
     def _now_us(self) -> int:
         return int(self.clock.now * 1_000_000)

@@ -30,6 +30,7 @@ immediately -- retrying cannot change either.
 from __future__ import annotations
 
 import random
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from ..errors import (CasConflictError, CircuitOpenError, ClientCrashed,
@@ -398,17 +399,6 @@ BREAKER_OPEN = "open"
 _BREAKER_GAUGE = {BREAKER_CLOSED: 0, BREAKER_HALF_OPEN: 1, BREAKER_OPEN: 2}
 
 
-class _NullScope:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-_NULL_SCOPE = _NullScope()
-
-
 class ResilientTransport(ServerWrapper):
     """Deadline-bounded retries + circuit breaker + degraded reads.
 
@@ -486,7 +476,7 @@ class ResilientTransport(ServerWrapper):
     def _attempt_scope(self, op: str, attempt: int, delay: float):
         """One span per attempt (attempt 1 included, delay 0.0)."""
         if self._tracer is None:
-            return _NULL_SCOPE
+            return nullcontext()
         return self._tracer.span("attempt", op=op, attempt=attempt,
                                  delay=round(delay, 6))
 

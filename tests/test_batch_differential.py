@@ -31,8 +31,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.fs.client import _BATCH_SIZE_BUCKETS, ClientConfig
+from repro.fs.client import ClientConfig
 from repro.fs.permissions import DIRECTORY, AclEntry
+from repro.fs.scheduler import _BATCH_SIZE_BUCKETS
 from repro.tools.fsck import VolumeAuditor
 from repro.workloads.runner import BenchEnv, make_env
 
@@ -95,7 +96,7 @@ def _forced_config(**overrides):
 def _sharing_script(env: BenchEnv) -> None:
     """Sharing/revocation mix: ACL grants, revocation (re-encryption),
     ownership churn, rename and unlink -- the mutation-heavy paths that
-    fan multi-blob writes through ``_put_many``/``_delete_many``."""
+    fan multi-blob writes through ``put_many``/``delete_many``."""
     fs = env.fs
     payload = b"collaborative document " * 40
     fs.mkdir("/proj", mode=0o755)

@@ -168,6 +168,21 @@ class TestCacheModes:
         assert fs.read_file("/zb") == b"works without any cache"
 
 
+class TestConfigValidation:
+    def test_concurrency_requires_batching(self, volume, registry):
+        """A pipelined window rides OP_BATCH waves: asking for one with
+        batching off is refused, not silently run sequentially."""
+        with pytest.raises(SharoesError, match="batching"):
+            SharoesFilesystem(volume, registry.user("alice"),
+                              config=ClientConfig(concurrency=8,
+                                                  batching=False))
+
+    def test_lease_requires_journal(self, volume, registry):
+        with pytest.raises(SharoesError, match="journal"):
+            SharoesFilesystem(volume, registry.user("alice"),
+                              config=ClientConfig(lease=True))
+
+
 class TestCreateEdges:
     def test_many_children_one_directory(self, alice_fs):
         alice_fs.mkdir("/wide", mode=0o755)

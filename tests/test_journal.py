@@ -295,11 +295,32 @@ class TestPartialWrite:
         blobs = [(BlobId("data", 99, f"b{i}"), b"p%d" % i)
                  for i in range(4)]
         with pytest.raises(TransientPartialWriteError) as err:
-            fs._put_many(blobs)
+            fs.blob_io.put_many(blobs)
         assert err.value.applied == (blobs[0][0],)
         assert err.value.failed == blobs[1][0]
         assert err.value.remaining == (blobs[2][0], blobs[3][0])
         assert fs.metrics.snapshot()["transport.partial_writes"] == 1
+
+    def test_write_behind_wave_failure_names_the_split(self, volume,
+                                                       registry):
+        """A pipelined client (journal off) surfaces a put that fails
+        mid-wave exactly like a failed frame, and counts it once."""
+        wrapper = _FailNthPut(volume.server, fail_at=3)
+        fs = SharoesFilesystem(volume, registry.user("alice"),
+                               server=wrapper,
+                               config=ClientConfig(concurrency=8))
+        blobs = [(BlobId("data", 98, f"b{i}"), b"q%d" % i)
+                 for i in range(8)]
+        for blob_id, payload in blobs[:7]:
+            fs.blob_io.put(blob_id, payload)  # staged, nothing sent
+        assert wrapper.puts == 0
+        with pytest.raises(PartialWriteError) as err:
+            fs.blob_io.put(*blobs[7])  # fills the window: the wave ships
+        assert err.value.applied == (blobs[0][0], blobs[1][0])
+        assert err.value.failed == blobs[2][0]
+        assert err.value.remaining == tuple(bid for bid, _ in blobs[3:])
+        assert fs.metrics.snapshot()["transport.partial_writes"] == 1
+        assert fs.scheduler.queue_depth == 0
 
     def test_partial_write_is_still_transient(self, volume, registry):
         """except TransientStorageError contracts keep working."""
@@ -307,5 +328,5 @@ class TestPartialWrite:
         fs = SharoesFilesystem(volume, registry.user("alice"),
                                server=wrapper)
         with pytest.raises(TransientStorageError):
-            fs._put_many([(BlobId("data", 99, "b0"), b"p")])
+            fs.blob_io.put_many([(BlobId("data", 99, "b0"), b"p")])
         assert issubclass(TransientPartialWriteError, PartialWriteError)

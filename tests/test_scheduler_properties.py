@@ -20,6 +20,11 @@ operation sequences against a dict-based reference model:
    (``note_invalidation`` mid-flight) drops everything it carried --
    stale speculative bytes are never served -- while overlay answers
    (which are read-your-writes, not speculation) survive.
+5. **One overlay at every window**: the write path (``put``/``delete``
+   /``get``) is read-your-writes at window 1 (nothing staged, lone ops
+   as plain RPCs) as at wider windows, and a journaled mutation's
+   deferred calls answer its own reads through the same overlay while
+   nothing reaches the SSP until they are replayed.
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ from hypothesis import strategies as st  # noqa: E402
 KEYS = st.integers(min_value=0, max_value=9)
 PAYLOADS = st.binary(min_size=0, max_size=32)
 WINDOWS = st.integers(min_value=2, max_value=6)
+#: every window the client can mount, the sequential K=1 included.
+ANY_WINDOWS = st.integers(min_value=1, max_value=6)
 #: windows for the fetch-flight properties: wider than the staged-set
 #: strategy (max 3), so staging never auto-flushes mid-setup and the
 #: overlay still covers exactly the staged keys when the flight departs.
@@ -186,3 +193,108 @@ def test_invalidation_drops_inflight_fetch(keys, staged, window):
     retry = sched.fetch_many([_bid(key) for key in keys - staged])
     for key in keys - staged:
         assert retry[_bid(key)] == b"fresh" + bytes([key])
+
+
+def _read(sched: RequestScheduler, blob_id):
+    try:
+        return sched.get(blob_id)
+    except BlobNotFound:
+        return None
+
+
+@given(ops=OPS, window=ANY_WINDOWS)
+@settings(max_examples=60, deadline=None)
+def test_write_path_read_your_writes_any_window(ops, window):
+    backend = StorageServer()
+    recording = _RecordingServer(backend)
+    sched = RequestScheduler(recording, window)
+    model: dict = {}
+
+    for kind, key, payload in ops:
+        blob_id = _bid(key)
+        if kind == "put":
+            sched.put(blob_id, payload)
+            model[blob_id] = payload
+        elif kind == "delete":
+            sched.delete(blob_id)
+            model[blob_id] = None
+        elif kind == "read":
+            assert _read(sched, blob_id) == model.get(blob_id), (
+                "read does not see the newest preceding mutation")
+        else:
+            sched.flush()
+        if window == 1:
+            # The sequential client never stages: each op is sent now.
+            assert sched.queue_depth == 0
+    sched.flush()
+
+    for blob_id, expected in model.items():
+        assert _server_value(backend, blob_id) == expected
+    assert all(len(wave) <= window for wave in recording.waves)
+    if window == 1:
+        assert recording.waves == []  # lone ops ride plain RPCs
+
+
+@given(ops=OPS, window=ANY_WINDOWS)
+@settings(max_examples=60, deadline=None)
+def test_deferred_mutation_reads_its_own_writes(ops, window):
+    backend = StorageServer()
+    for key in range(10):
+        backend.put(_bid(key), b"old" + bytes([key]))
+    recording = _RecordingServer(backend)
+    # Journaled clients never stage write-behind (journal ordering).
+    sched = RequestScheduler(recording, window, write_behind=False)
+    model = {_bid(key): b"old" + bytes([key]) for key in range(10)}
+    before = dict(model)
+
+    sched.defer()
+    for kind, key, payload in ops:
+        blob_id = _bid(key)
+        if kind == "put":
+            sched.put(blob_id, payload)
+            model[blob_id] = payload
+        elif kind == "delete":
+            sched.delete(blob_id)
+            model[blob_id] = None
+        elif kind == "read":
+            assert _read(sched, blob_id) == model[blob_id], (
+                "a mutation does not see its own deferred write")
+        else:
+            assert sched.flush() == 0  # a barrier sends nothing deferred
+    # Nothing of the mutation reached the SSP before its intent sealed.
+    assert {b: _server_value(backend, b) for b in before} == before
+    assert recording.waves == []
+
+    calls = sched.take_deferred()
+    assert not sched.deferring
+    assert not any(sched.covers(blob_id) for blob_id in model)
+    for call in calls:  # the journal's apply phase
+        sched.submit(call.kind, call.blobs)
+    assert {b: _server_value(backend, b) for b in model} == model
+
+
+@given(keys=st.sets(KEYS, min_size=1, max_size=8),
+       deferred=st.sets(KEYS, max_size=3),
+       window=st.integers(min_value=1, max_value=8))
+@settings(max_examples=60, deadline=None)
+def test_invalidation_drops_flight_during_deferred_mutation(keys, deferred,
+                                                            window):
+    backend = StorageServer()
+    for key in range(10):
+        backend.put(_bid(key), b"fresh" + bytes([key]))
+    recording = _RecordingServer(backend)
+    sched = RequestScheduler(recording, window, write_behind=False)
+    sched.defer()
+    for key in deferred:
+        sched.put(_bid(key), b"mine" + bytes([key]))
+
+    recording.batch_hook = sched.note_invalidation
+    results = sched.fetch_many([_bid(key) for key in keys])
+    recording.batch_hook = None
+
+    # The mutation's own writes survive; the raced flight is dropped.
+    assert set(results) == {_bid(k) for k in keys & deferred}
+    for key in keys & deferred:
+        assert results[_bid(key)] == b"mine" + bytes([key])
+    if keys - deferred:
+        assert sched.stale_drops > 0
