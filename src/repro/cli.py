@@ -503,62 +503,53 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
     return 0 if report.clean else 1
 
 
-def _cmd_crash_matrix(args: argparse.Namespace) -> int:
-    from .tools.crashmatrix import (FSCK, MOUNT, CrashMatrix, build_cases,
-                                    outcomes_table)
+class _UnknownNames(Exception):
+    """A comma-separated subset flag named something unknown (exit 2)."""
 
-    matrix = CrashMatrix(seed=args.seed)
-    recoveries = {"mount": (MOUNT,), "fsck": (FSCK,),
-                  "both": (MOUNT, FSCK)}[args.recovery]
-    cases = build_cases(matrix.data, matrix.new)
-    if args.ops:
-        wanted = set(args.ops.split(","))
-        known = {c.name for c in cases}
-        if wanted - known:
-            print(f"unknown ops: {sorted(wanted - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted]
-    outcomes = matrix.run(recoveries, cases)
-    table = outcomes_table(outcomes)
+
+def _subset(spec: str | None, choices, what: str) -> tuple | None:
+    """``--<what> a,b`` as a subset of ``choices``, in their order;
+    ``None`` (sweep everything) when the flag is absent."""
+    if not spec:
+        return None
+    wanted = set(spec.split(","))
+    if wanted - set(choices):
+        raise _UnknownNames(f"unknown {what}: {sorted(wanted - set(choices))}"
+                            f"; choose from {list(choices)}")
+    return tuple(c for c in choices if c in wanted)
+
+
+def _sweep(args: argparse.Namespace, matrix, modes: tuple | None = None,
+           names: tuple | None = None, scenarios: tuple | None = None
+           ) -> int:
+    """Run a matrix harness, print (and ``--out``) its table."""
+    outcomes = matrix.run(modes, names, scenarios)
+    table = matrix.table(outcomes)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(table + "\n")
         print(f"wrote {args.out}")
     print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    return 0 if matrix.ok(outcomes) else 1
+
+
+def _cmd_crash_matrix(args: argparse.Namespace) -> int:
+    from .tools.crashmatrix import CrashMatrix
+
+    matrix = CrashMatrix(seed=args.seed)
+    recoveries = None if args.recovery == "both" else (args.recovery,)
+    ops = _subset(args.ops, sorted(c.name for c in matrix.cases()), "ops")
+    return _sweep(args, matrix, recoveries, ops)
 
 
 def _cmd_interleave(args: argparse.Namespace) -> int:
-    from .tools.interleave import (MODES, InterleaveMatrix, build_cases,
-                                   outcomes_table)
+    from .tools.interleave import MODES, InterleaveMatrix
 
     matrix = InterleaveMatrix(seed=args.seed)
-    modes = MODES
-    if args.modes:
-        wanted = tuple(args.modes.split(","))
-        if set(wanted) - set(MODES):
-            print(f"unknown modes: {sorted(set(wanted) - set(MODES))}; "
-                  f"choose from {list(MODES)}")
-            return 2
-        modes = wanted
-    cases = build_cases(matrix.payloads)
-    if args.cases:
-        wanted_cases = set(args.cases.split(","))
-        known = {c.name for c in cases}
-        if wanted_cases - known:
-            print(f"unknown cases: {sorted(wanted_cases - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted_cases]
-    outcomes = matrix.run(modes, cases)
-    table = outcomes_table(outcomes)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    modes = _subset(args.modes, MODES, "modes")
+    cases = _subset(args.cases, sorted(c.name for c in matrix.cases()),
+                    "cases")
+    return _sweep(args, matrix, modes, cases)
 
 
 def _cmd_shard_repair(args: argparse.Namespace) -> int:
@@ -610,49 +601,20 @@ def _cmd_shard_repair(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .tools.campaign import (DEFAULT_SCENARIOS, Campaign,
-                                 campaign_table)
-    from .tools.interleave import MODES, build_cases
+    from .tools.campaign import DEFAULT_SCENARIOS, Campaign
+    from .tools.interleave import MODES
 
     campaign = Campaign(seed=args.seed, shards=args.shards,
                         replicas=args.replicas,
                         read_quorum=args.read_quorum,
                         flaky_p=args.flaky_p)
-    modes = MODES
-    if args.modes:
-        wanted = tuple(args.modes.split(","))
-        if set(wanted) - set(MODES):
-            print(f"unknown modes: {sorted(set(wanted) - set(MODES))}; "
-                  f"choose from {list(MODES)}")
-            return 2
-        modes = wanted
-    cases = build_cases(campaign.payloads)
-    if args.cases:
-        wanted_cases = set(args.cases.split(","))
-        known = {c.name for c in cases}
-        if wanted_cases - known:
-            print(f"unknown cases: {sorted(wanted_cases - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        cases = [c for c in cases if c.name in wanted_cases]
-    scenarios = DEFAULT_SCENARIOS
-    if args.scenarios:
-        wanted_sc = set(args.scenarios.split(","))
-        known = {s.name for s in DEFAULT_SCENARIOS}
-        if wanted_sc - known:
-            print(f"unknown scenarios: {sorted(wanted_sc - known)}; "
-                  f"choose from {sorted(known)}")
-            return 2
-        scenarios = tuple(s for s in DEFAULT_SCENARIOS
-                          if s.name in wanted_sc)
-    report = campaign.run(modes, cases, scenarios)
-    table = campaign_table(report)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if report.ok else 1
+    modes = _subset(args.modes, MODES, "modes")
+    cases = _subset(args.cases, sorted(c.name for c in campaign.cases()),
+                    "cases")
+    scenarios = _subset(args.scenarios,
+                        sorted(s.name for s in DEFAULT_SCENARIOS),
+                        "scenarios")
+    return _sweep(args, campaign, modes, cases, scenarios)
 
 
 def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
@@ -743,27 +705,10 @@ def _cmd_shard_rebalance(args: argparse.Namespace) -> int:
 
 
 def _cmd_rebalance_matrix(args: argparse.Namespace) -> int:
-    from .tools.rebalancematrix import (VARIANTS, RebalanceMatrix,
-                                        outcomes_table)
+    from .tools.rebalancematrix import VARIANTS, RebalanceMatrix
 
-    variants = VARIANTS
-    if args.variants:
-        wanted = tuple(args.variants.split(","))
-        if set(wanted) - set(VARIANTS):
-            print(f"unknown variants: "
-                  f"{sorted(set(wanted) - set(VARIANTS))}; "
-                  f"choose from {list(VARIANTS)}")
-            return 2
-        variants = wanted
-    matrix = RebalanceMatrix(seed=args.seed)
-    outcomes = matrix.run(variants)
-    table = outcomes_table(outcomes)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(table + "\n")
-        print(f"wrote {args.out}")
-    print(table)
-    return 0 if all(o.consistent for o in outcomes) else 1
+    variants = _subset(args.variants, VARIANTS, "variants")
+    return _sweep(args, RebalanceMatrix(seed=args.seed), variants)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1019,7 +964,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UnknownNames as exc:
+        print(exc)
+        return 2
 
 
 if __name__ == "__main__":

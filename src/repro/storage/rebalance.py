@@ -53,7 +53,7 @@ from ..crypto import rsa
 from ..errors import (IntegrityError, StaleEpochError,
                       TransientStorageError)
 from .blobs import LEASE, PLAN, BlobId, parse_blob_id, plan_blob
-from .resilient import ServerWrapper
+from .resilient import MutationPoints
 from .server import EPOCH_PREFIX_BYTES, StorageServer, fence_epoch
 from .shards import RingSpec, ShardedServer
 
@@ -670,7 +670,7 @@ def resolve_plan(server: ShardedServer) -> str:
     return "rolled_back"
 
 
-class MidRunRebalance(ServerWrapper):
+class MidRunRebalance(MutationPoints):
     """Fires rebalance stages at exact points in a client's op stream.
 
     The acceptance trio mounts a workload over this wrapper with e.g.
@@ -678,42 +678,16 @@ class MidRunRebalance(ServerWrapper):
     mutation the first stage callable runs (propose + copy + verify),
     before the 80th the second (flip + drop + finish) -- a rebalance
     genuinely interleaved with live traffic, deterministically.
-    Counts the same mutation set as ``CrashingServer``/``PauseServer``.
     """
 
     def __init__(self, inner: StorageServer,
                  stages: Sequence[tuple[int, Callable[[], None]]]):
         super().__init__(inner, name=f"midrun({inner.name})")
         self.stages = sorted(stages, key=lambda s: s[0])
-        self.mutations = 0
         self.fired = 0
 
     def _mutation(self) -> None:
-        self.mutations += 1
         while self.stages and self.mutations >= self.stages[0][0]:
             _, stage = self.stages.pop(0)
             self.fired += 1
             stage()
-
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)

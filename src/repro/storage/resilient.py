@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from contextlib import nullcontext
 from dataclasses import dataclass
+from typing import Callable
 
 from ..errors import (CasConflictError, CircuitOpenError, ClientCrashed,
                       TransientStorageError)
@@ -93,12 +94,57 @@ class ServerWrapper:
         return apply_batch(self, ops)
 
 
-class CrashingServer(ServerWrapper):
+class MutationPoints(ServerWrapper):
+    """Counts a client's SSP mutations and runs :meth:`_mutation` at each.
+
+    The five mutating requests (put, delete, CAS and the fenced
+    variants) bump ``mutations`` and call :meth:`_mutation` *before*
+    touching the backend; reads never change SSP state, so points
+    between them are indistinguishable from the next mutation.  The
+    crash, pause and mid-run-rebalance injectors differ only in what
+    ``_mutation`` does, so every sweep that shares k counts the same
+    mutation set.
+    """
+
+    def __init__(self, inner: StorageServer, name: str):
+        super().__init__(inner, name=name)
+        self.mutations = 0
+
+    def _mutation(self) -> None:
+        """Runs just before mutation number ``self.mutations``."""
+
+    def _point(self) -> None:
+        self.mutations += 1
+        self._mutation()
+
+    def put(self, blob_id: BlobId, payload: bytes) -> None:
+        self._point()
+        self.inner.put(blob_id, payload)
+
+    def delete(self, blob_id: BlobId) -> None:
+        self._point()
+        self.inner.delete(blob_id)
+
+    def put_if(self, blob_id: BlobId, payload: bytes,
+               expected: bytes | None) -> None:
+        self._point()
+        self.inner.put_if(blob_id, payload, expected)
+
+    def put_fenced(self, blob_id: BlobId, payload: bytes,
+                   fence: BlobId, epoch: int) -> None:
+        self._point()
+        self.inner.put_fenced(blob_id, payload, fence, epoch)
+
+    def delete_fenced(self, blob_id: BlobId,
+                      fence: BlobId, epoch: int) -> None:
+        self._point()
+        self.inner.delete_fenced(blob_id, fence, epoch)
+
+
+class CrashingServer(MutationPoints):
     """Kills the client at the k-th mutation (crash-point injection).
 
-    Counts *mutations* (put/delete) only -- reads never change SSP state,
-    so crash points between them are indistinguishable from crashing at
-    the next mutation.  With ``crash_after=k`` the k-th mutation raises
+    With ``crash_after=k`` the k-th mutation raises
     :class:`~repro.errors.ClientCrashed` *before* touching the backend
     (the paper's SSP applies a request atomically or not at all; the
     interesting partial states come from dying *between* blobs of a
@@ -111,39 +157,39 @@ class CrashingServer(ServerWrapper):
                  crash_after: int | None = None):
         super().__init__(inner, name=f"crashing({inner.name})")
         self.crash_after = crash_after
-        self.mutations = 0
         self.crashed = False
 
     def _mutation(self) -> None:
-        self.mutations += 1
         if self.crash_after is not None and \
                 self.mutations >= self.crash_after:
             self.crashed = True
             raise ClientCrashed(
                 f"injected crash at mutation {self.mutations}")
 
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
 
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
+class PauseServer(MutationPoints):
+    """Runs ``hook()`` once, just before the k-th SSP mutation.
 
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
+    The synchronous stand-in for a context switch: the wrapped client
+    is "descheduled" at an exact point in its wire sequence while other
+    clients run.  Shares k with :class:`CrashingServer`, so crash and
+    preempt sweeps line up.
+    """
 
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
+    def __init__(self, inner: StorageServer,
+                 pause_at: int | None = None,
+                 hook: Callable[[], None] | None = None):
+        super().__init__(inner, name=f"pausing({inner.name})")
+        self.pause_at = pause_at
+        self.hook = hook
+        self.fired = False
 
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)
+    def _mutation(self) -> None:
+        if (self.hook is not None and not self.fired
+                and self.pause_at is not None
+                and self.mutations >= self.pause_at):
+            self.fired = True
+            self.hook()
 
 
 # -- transient-fault injectors ------------------------------------------------

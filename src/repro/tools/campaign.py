@@ -27,11 +27,14 @@ with a freshly armed *scenario*:
   abandoned plan (roll it back) before healing -- see
   :mod:`repro.storage.rebalance`.
 
-The matrix's own multi-client contract must hold in every cell (no
-lost updates, fsck clean with zero orphans, no fork detected), and
-after the sweep a single ``clear_wrappers()`` + anti-entropy
-:meth:`~repro.storage.shards.ShardedServer.repair` pass must restore
-full replication -- :attr:`CampaignReport.ok` fails loudly otherwise.
+The campaign is the interleave config plus a scenario axis (armed by
+the engine's per-cell :meth:`~repro.tools.matrix.Matrix.arm` hook) and
+a post-sweep heal.  The matrix's own multi-client contract must hold in
+every cell (no lost updates, fsck clean with zero orphans, no fork
+detected), and after the sweep a single ``clear_wrappers()`` +
+anti-entropy :meth:`~repro.storage.shards.ShardedServer.repair` pass
+must restore full replication -- :meth:`Campaign.ok` fails loudly
+otherwise.
 
 Byzantine shards are armed one at a time on a healthy quorum: with
 ``replicas=3`` a divergent copy is outvoted only while two honest live
@@ -45,14 +48,14 @@ derive from ``seed``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..storage.blobs import LEASE
-from ..storage.faults import FlakyServer, RollbackServer, TamperingServer
-from ..storage.shards import ShardedServer, ShardRepairReport
-from .fsck import VolumeAuditor
-from .interleave import (MODES, InterleaveCase, InterleaveMatrix,
-                         InterleaveOutcome, build_cases)
+from ..storage.faults import RollbackServer, TamperingServer
+from ..storage.resilient import FlakyServer
+from ..storage.shards import ShardedServer
+from .interleave import InterleaveMatrix
+from .matrix import audit
 
 
 @dataclass(frozen=True)
@@ -80,55 +83,19 @@ DEFAULT_SCENARIOS = (
 )
 
 
-@dataclass
-class CampaignCell:
-    """One interleaving cell run under one shard-adversity scenario."""
-
-    scenario: str
-    outcome: InterleaveOutcome
-
-    @property
-    def consistent(self) -> bool:
-        return self.outcome.consistent
-
-
-@dataclass
-class CampaignReport:
-    """The whole campaign: cells, final repair, post-repair audit."""
-
-    seed: int
-    shards: int
-    replicas: int
-    read_quorum: int
-    cells: list = field(default_factory=list)
-    repair: ShardRepairReport | None = None
-    post_fsck_clean: bool = False
-    post_orphans: int = -1
-    shard_metrics: dict = field(default_factory=dict)
-
-    @property
-    def inconsistent(self) -> int:
-        return sum(1 for c in self.cells if not c.consistent)
-
-    @property
-    def ok(self) -> bool:
-        return (self.inconsistent == 0
-                and self.repair is not None
-                and self.repair.fully_replicated
-                and self.post_fsck_clean and self.post_orphans == 0)
-
-
 class Campaign(InterleaveMatrix):
     """The interleaving matrix over a sharded, adversarial backend."""
 
+    SCENARIOS = DEFAULT_SCENARIOS
+    COLUMNS = (("scenario", "<14", "scenario"),) + tuple(
+        column for column in InterleaveMatrix.COLUMNS
+        if column[0] not in ("defer", "orph"))
+
     def __init__(self, seed: int = 0, key_bits: int = 512,
                  shards: int = 4, replicas: int = 3,
-                 read_quorum: int = 2, flaky_p: float = 0.1,
-                 scenarios: tuple = DEFAULT_SCENARIOS):
+                 read_quorum: int = 2, flaky_p: float = 0.1):
         self.seed = seed
         self.flaky_p = flaky_p
-        self.scenarios = tuple(scenarios)
-        self._scenario: Scenario | None = None
         self._arm_seq = 0
         super().__init__(
             seed=seed, key_bits=key_bits,
@@ -136,24 +103,24 @@ class Campaign(InterleaveMatrix):
                 shards=shards, replicas=replicas,
                 read_quorum=read_quorum, clock=clock))
 
-    # -- per-cell adversity --------------------------------------------------
+    def arm(self) -> None:
+        """A freshly armed scenario for every cell (and counting run).
 
-    def _restore(self) -> None:
-        """Pristine volume *and* freshly armed scenario for every cell."""
-        self.server.clear_wrappers()
-        super()._restore()
-        scenario = self._scenario
+        The flaky shard's seed advances with every arming, so each
+        restore draws a new, reproducible failure sequence.
+        """
+        scenario = self.scenario
         if scenario is None:
             return
         self._arm_seq += 1
         if scenario.outage is not None:
             self.server.outage(scenario.outage, start_s=self.clock.now)
         if scenario.flaky is not None:
-            seq = self._arm_seq
+            seq, p = self._arm_seq, self.flaky_p
             self.server.wrap_shard(
                 scenario.flaky,
                 lambda backend: FlakyServer(
-                    inner=backend, failure_rate=self.flaky_p,
+                    backend, failure_rate={"put": p, "get": p},
                     seed=self.seed * 100_003 + seq))
         if scenario.rollback is not None:
             self.server.wrap_shard(
@@ -174,67 +141,37 @@ class Campaign(InterleaveMatrix):
             reb.propose(members, replicas)
             reb.execute(until=VERIFIED)
 
-    # -- the sweep -----------------------------------------------------------
-
-    def run(self, modes: tuple = MODES,
-            cases: "list[InterleaveCase] | None" = None,
-            scenarios: "tuple | None" = None) -> CampaignReport:
-        report = CampaignReport(
-            seed=self.seed, shards=len(self.server.shards),
-            replicas=self.server.replicas,
-            read_quorum=self.server.read_quorum)
-        for scenario in scenarios or self.scenarios:
-            self._scenario = scenario
-            for case in cases or build_cases(self.payloads):
-                for outcome in self.run_case(case, modes):
-                    report.cells.append(
-                        CampaignCell(scenario.name, outcome))
-        # Heal: drop every adversary, then one anti-entropy pass (plus
-        # one more if the first unlocked work) must restore placement.
-        self._scenario = None
+    def run(self, modes: tuple | None = None, names: tuple | None = None,
+            scenarios: tuple | None = None) -> list:
+        """The sweep, then the heal: drop every adversary, then one
+        anti-entropy pass (plus one more if the first unlocked work)
+        must restore placement."""
+        cells = super().run(modes, names, scenarios)
         self.server.clear_wrappers()
-        repair = self.server.repair()
-        if not repair.fully_replicated:
-            repair = self.server.repair()
-        report.repair = repair
-        audit = VolumeAuditor(self.volume).audit()
-        report.post_fsck_clean = audit.clean
-        report.post_orphans = len(audit.orphaned_blobs)
-        report.shard_metrics = self.server.shard_snapshot()
-        return report
+        self.repair = self.server.repair()
+        if not self.repair.fully_replicated:
+            self.repair = self.server.repair()
+        self.post_audit = audit(self.volume)
+        self.shard_metrics = self.server.shard_snapshot()
+        return cells
 
+    def ok(self, outcomes: list) -> bool:
+        return (super().ok(outcomes) and self.repair.fully_replicated
+                and self.post_audit == (True, 0))
 
-def campaign_table(report: CampaignReport) -> str:
-    """Render the campaign outcome table (the CI artifact)."""
-    lines = [
-        f"composed campaign: seed={report.seed} shards={report.shards} "
-        f"replicas={report.replicas} read_quorum={report.read_quorum}",
-        f"{'scenario':<14} {'case':<22} {'mode':<10} {'k':>3} {'T':>3} "
-        f"{'outcome':<18} {'first-error':<15} {'fsck':<5} {'vsl':<4}",
-        "-" * 100]
-    for cell in report.cells:
-        o = cell.outcome
-        lines.append(
-            f"{cell.scenario:<14} {o.case:<22} {o.mode:<10} {o.point:>3} "
-            f"{o.total_points:>3} {o.outcome:<18} "
-            f"{(o.first_error or '-'):<15} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} "
-            f"{'ok' if o.vsl_ok else 'FORK':<4}")
-    lines.append("-" * 100)
-    m = report.shard_metrics
-    if m:
-        lines.append(
+    def table(self, outcomes: list) -> str:
+        server, m = self.server, self.shard_metrics
+        clean, orphans = self.post_audit
+        return super().table(outcomes, header=(
+            f"composed campaign: seed={self.seed} "
+            f"shards={len(server.shards)} replicas={server.replicas} "
+            f"read_quorum={server.read_quorum}",
+        ), summary=(
             f"shard health: quorum_reads={m['reads.quorum']:.0f} "
             f"failovers={m['reads.failover']:.0f} "
             f"divergent={m['divergent']:.0f} "
             f"outvoted={m['outvoted']:.0f} ties={m['ties']:.0f} "
-            f"suspect_served={m['reads.suspect_served']:.0f}")
-    if report.repair is not None:
-        lines.append(f"final repair: {report.repair.summary()}")
-    lines.append(
-        f"post-repair fsck: "
-        f"{'clean' if report.post_fsck_clean else 'DIRTY'}, "
-        f"{report.post_orphans} orphans")
-    lines.append(f"{len(report.cells)} cells, "
-                 f"{report.inconsistent} inconsistent")
-    return "\n".join(lines)
+            f"suspect_served={m['reads.suspect_served']:.0f}",
+            f"final repair: {self.repair.summary()}",
+            f"post-repair fsck: {'clean' if clean else 'DIRTY'}, "
+            f"{orphans} orphans"))

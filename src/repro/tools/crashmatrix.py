@@ -27,36 +27,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable
 
-from ..crypto import rsa
-from ..crypto.provider import CryptoProvider
-from ..errors import ClientCrashed, FileNotFound, FilesystemError
-from ..fs.client import ClientConfig, SharoesFilesystem
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
+from ..errors import ClientCrashed
 from ..storage.resilient import CrashingServer
 from ..storage.server import StorageServer
 from .fsck import VolumeAuditor
+from .matrix import BLOCK, Case, Matrix, audit, holds, path_exists
 
 #: recovery modes the matrix can exercise.
 MOUNT = "mount"
 FSCK = "fsck"
-
-_BLOCK = 256  # small blocks so writeback ops span several puts
-
-
-@dataclass(frozen=True)
-class CrashCase:
-    """One mutation under test, with its oracle predicates."""
-
-    name: str
-    prepare: Callable[[SharoesFilesystem], None]
-    run: Callable[[SharoesFilesystem], None]
-    applied: Callable[[SharoesFilesystem], bool]
-    rolled_back: Callable[[SharoesFilesystem], bool]
 
 
 @dataclass
@@ -77,29 +57,8 @@ class CrashOutcome:
                 and self.fsck_clean and self.orphans == 0)
 
 
-def _exists(fs: SharoesFilesystem, path: str) -> bool:
-    try:
-        fs.lstat(path)
-        return True
-    except (FileNotFound, FilesystemError):
-        return False
-
-
-def _holds(pred: Callable[[SharoesFilesystem], bool],
-           fs: SharoesFilesystem) -> bool:
-    """Evaluate an oracle; a missing path means 'predicate false'.
-
-    Integrity errors are deliberately NOT caught -- a signature failure
-    after recovery is a real bug, never a benign 'other state'.
-    """
-    try:
-        return bool(pred(fs))
-    except FilesystemError:
-        return False
-
-
 def build_cases(data: bytes | None = None,
-                new: bytes | None = None) -> list[CrashCase]:
+                new: bytes | None = None) -> list[Case]:
     """The op suite: every mutation family the client exposes.
 
     ``data`` (initial 3-block file content) and ``new`` (the pwrite
@@ -120,64 +79,64 @@ def build_cases(data: bytes | None = None,
     pwritten = (_DATA[:100] + _NEW
                 + _DATA[100 + len(_NEW):]).ljust(len(_DATA), b"\x00")
     return [
-        CrashCase(
+        Case(
             "create_file",
             prepare=lambda fs: None,
             run=lambda fs: fs.create_file("/d/new", _DATA),
-            applied=lambda fs: (_exists(fs, "/d/new")
+            applied=lambda fs: (path_exists(fs, "/d/new")
                                 and fs.read_file("/d/new") == _DATA),
-            rolled_back=lambda fs: not _exists(fs, "/d/new")),
-        CrashCase(
+            rolled_back=lambda fs: not path_exists(fs, "/d/new")),
+        Case(
             "mkdir",
             prepare=lambda fs: None,
             run=lambda fs: fs.mkdir("/d/sub"),
-            applied=lambda fs: (_exists(fs, "/d/sub")
+            applied=lambda fs: (path_exists(fs, "/d/sub")
                                 and fs.readdir("/d/sub") == []),
-            rolled_back=lambda fs: not _exists(fs, "/d/sub")),
-        CrashCase(
+            rolled_back=lambda fs: not path_exists(fs, "/d/sub")),
+        Case(
             "unlink",
             prepare=lambda fs: fs.create_file("/d/victim", _DATA),
             run=lambda fs: fs.unlink("/d/victim"),
-            applied=lambda fs: not _exists(fs, "/d/victim"),
+            applied=lambda fs: not path_exists(fs, "/d/victim"),
             rolled_back=lambda fs: (
-                _exists(fs, "/d/victim")
+                path_exists(fs, "/d/victim")
                 and fs.read_file("/d/victim") == _DATA)),
-        CrashCase(
+        Case(
             "rmdir",
             prepare=lambda fs: fs.mkdir("/d/doomed"),
             run=lambda fs: fs.rmdir("/d/doomed"),
-            applied=lambda fs: not _exists(fs, "/d/doomed"),
-            rolled_back=lambda fs: _exists(fs, "/d/doomed")),
-        CrashCase(
+            applied=lambda fs: not path_exists(fs, "/d/doomed"),
+            rolled_back=lambda fs: path_exists(fs, "/d/doomed")),
+        Case(
             "rename",
             prepare=lambda fs: fs.create_file("/d/old", _DATA),
             run=lambda fs: fs.rename("/d/old", "/d/moved"),
-            applied=lambda fs: (not _exists(fs, "/d/old")
+            applied=lambda fs: (not path_exists(fs, "/d/old")
                                 and fs.read_file("/d/moved") == _DATA),
-            rolled_back=lambda fs: (not _exists(fs, "/d/moved")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/moved")
                                     and fs.read_file("/d/old") == _DATA)),
-        CrashCase(
+        Case(
             "link",
             prepare=lambda fs: fs.create_file("/d/orig", _DATA),
             run=lambda fs: fs.link("/d/orig", "/d/alias"),
             applied=lambda fs: (fs.read_file("/d/alias") == _DATA
                                 and fs.lstat("/d/orig").nlink == 2),
-            rolled_back=lambda fs: (not _exists(fs, "/d/alias")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/alias")
                                     and fs.lstat("/d/orig").nlink == 1)),
-        CrashCase(
+        Case(
             "symlink",
             prepare=lambda fs: fs.create_file("/d/target", _DATA),
             run=lambda fs: fs.symlink("/d/target", "/d/ln"),
             applied=lambda fs: (fs.readlink("/d/ln") == "/d/target"
                                 and fs.read_file("/d/ln") == _DATA),
-            rolled_back=lambda fs: not _exists(fs, "/d/ln")),
-        CrashCase(
+            rolled_back=lambda fs: not path_exists(fs, "/d/ln")),
+        Case(
             "writeback-pwrite",
             prepare=lambda fs: fs.create_file("/d/f", _DATA),
             run=pwrite_run,
             applied=lambda fs: fs.read_file("/d/f") == pwritten,
             rolled_back=lambda fs: fs.read_file("/d/f") == _DATA),
-        CrashCase(
+        Case(
             "writeback-truncate",
             prepare=lambda fs: fs.create_file("/d/f", _DATA),
             run=truncate_run,
@@ -186,111 +145,66 @@ def build_cases(data: bytes | None = None,
     ]
 
 
-class CrashMatrix:
-    """A tiny enterprise wired for snapshot/restore crash sweeps."""
+class CrashMatrix(Matrix):
+    """Crash sweeps: op x recovery x crash point."""
+
+    USERS = ("alice", "bob")
+    #: the probe is the journaled client on purpose: its ``mount()``
+    #: replays pending intents, so the oracle sees the recovered state.
+    CLIENT = PROBE = {"journal": True, "cache_bytes": 0}
+    AXIS = (MOUNT, FSCK)
+    COLUMNS = (("op", "<20", "op"), ("recovery", "<8", "recovery"),
+               ("k", ">3", "crash_point"), ("T", ">3", "total_points"),
+               ("outcome", "<12", "outcome"),
+               ("fsck", "<5", lambda o: "ok" if o.fsck_clean else "DIRTY"),
+               ("orphans", ">7", "orphans"))
+    RULE = 63
+    NOUN = "crash points"
 
     def __init__(self, seed: int = 0, key_bits: int = 512):
         rng = random.Random(seed)
-        self.data = bytes(rng.randrange(256) for _ in range(3 * _BLOCK))
+        self.data = bytes(rng.randrange(256) for _ in range(3 * BLOCK))
         self.new = bytes(rng.randrange(256) for _ in range(700))
-        self.registry = PrincipalRegistry()
-        for name in ("alice", "bob"):
-            self.registry.add_user(User(
-                user_id=name,
-                keypair=rsa.generate_keypair(key_bits)))
-        self.registry.create_group("eng", {"alice", "bob"},
-                                   key_bits=key_bits)
-        self.server = StorageServer()
-        self.volume = SharoesVolume(self.server, self.registry,
-                                    block_size=_BLOCK)
-        self.volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(self.registry, self.server,
-                        CryptoProvider()).publish_all()
-        base = self.client()
-        base.mkdir("/d")
-        self._base_blobs = self.server.snapshot_blobs()
-        self._base_next = self.volume.allocator._next
+        super().__init__(key_bits)
+        self.add_stack(StorageServer(), mode=0o755)
 
-    def client(self, server=None) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            self.volume, self.registry.user("alice"),
-            config=ClientConfig(journal=True, cache_bytes=0),
-            server=server)
-        fs.mount()
-        return fs
+    def cases(self) -> list[Case]:
+        return build_cases(self.data, self.new)
 
-    def _restore(self, blobs, next_inode: int) -> None:
-        self.server.restore_blobs(blobs)
-        self.volume.allocator._next = next_inode
+    def prepare(self, case: Case) -> None:
+        super().prepare(case)
+        self._prepared = self.checkpoint()
 
-    def _audit(self) -> tuple[bool, int]:
-        report = VolumeAuditor(self.volume).audit()
-        return report.clean, len(report.orphaned_blobs)
-
-    def run_case(self, case: CrashCase,
-                 recovery: str = MOUNT) -> list[CrashOutcome]:
-        """Sweep every crash point of one op under one recovery mode."""
-        self._restore(self._base_blobs, self._base_next)
-        case.prepare(self.client())
-        checkpoint = self.server.snapshot_blobs()
-        next_inode = self.volume.allocator._next
-
-        # Counting run: discover T, and prove the op lands when nothing
-        # crashes (the oracle itself is exercised here).
-        counter = CrashingServer(self.server)
-        case.run(self.client(server=counter))
-        total = counter.mutations
-        if not _holds(case.applied, self.client()):
+    def count_points(self, case: Case) -> int:
+        """Counting run; it also proves the op lands when nothing
+        crashes (the oracle itself is exercised here)."""
+        total = super().count_points(case)
+        if not holds(case.applied, self.probe()):
             raise AssertionError(f"{case.name}: oracle rejects the "
                                  f"crash-free run")
+        return total
 
-        outcomes = []
-        for k in range(1, total + 1):
-            self._restore(checkpoint, next_inode)
-            crasher = CrashingServer(self.server, crash_after=k)
-            try:
-                case.run(self.client(server=crasher))
-                raise AssertionError(
-                    f"{case.name}: no crash at k={k} (T={total})")
-            except ClientCrashed:
-                pass
-            if recovery == FSCK:
-                VolumeAuditor(self.volume).repair()
-            probe = self.client()  # mount() replays pending intents
-            applied = _holds(case.applied, probe)
-            rolled_back = (not applied) and _holds(case.rolled_back,
-                                                   probe)
-            clean, orphans = self._audit()
-            outcome = ("applied" if applied
-                       else "rolled_back" if rolled_back
-                       else "INCONSISTENT")
-            outcomes.append(CrashOutcome(
-                op=case.name, crash_point=k, total_points=total,
-                recovery=recovery, outcome=outcome,
-                fsck_clean=clean, orphans=orphans))
-        return outcomes
-
-    def run(self, recoveries: tuple[str, ...] = (MOUNT, FSCK),
-            cases: list[CrashCase] | None = None) -> list[CrashOutcome]:
-        results = []
-        for case in cases or build_cases(self.data, self.new):
-            for recovery in recoveries:
-                results.extend(self.run_case(case, recovery))
-        return results
-
-
-def outcomes_table(outcomes: list[CrashOutcome]) -> str:
-    """Render the recovery-outcomes table (the CI artifact)."""
-    lines = [f"{'op':<20} {'recovery':<8} {'k':>3} {'T':>3} "
-             f"{'outcome':<12} {'fsck':<5} {'orphans':>7}",
-             "-" * 63]
-    for o in outcomes:
-        lines.append(
-            f"{o.op:<20} {o.recovery:<8} {o.crash_point:>3} "
-            f"{o.total_points:>3} {o.outcome:<12} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} {o.orphans:>7}")
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append("-" * 63)
-    lines.append(f"{len(outcomes)} crash points, "
-                 f"{bad} inconsistent")
-    return "\n".join(lines)
+    def run_cell(self, case: Case, recovery: str, point: int,
+                 total: int) -> CrashOutcome:
+        """Crash at mutation ``point``, recover, judge."""
+        self.restore(self._prepared)
+        crasher = CrashingServer(self.server, crash_after=point)
+        try:
+            case.run(self.client(server=crasher))
+            raise AssertionError(
+                f"{case.name}: no crash at k={point} (T={total})")
+        except ClientCrashed:
+            pass
+        if recovery == FSCK:
+            VolumeAuditor(self.volume).repair()
+        probe = self.probe()
+        applied = holds(case.applied, probe)
+        rolled_back = (not applied) and holds(case.rolled_back, probe)
+        clean, orphans = audit(self.volume)
+        outcome = ("applied" if applied
+                   else "rolled_back" if rolled_back
+                   else "INCONSISTENT")
+        return CrashOutcome(
+            op=case.name, crash_point=point, total_points=total,
+            recovery=recovery, outcome=outcome,
+            fsck_clean=clean, orphans=orphans)

@@ -29,8 +29,8 @@ After every schedule the harness asserts the multi-client contract:
 * surviving clients publish and cross-check **version statements**
   without :class:`~repro.fs.consistency.ForkDetected`.
 
-Deterministic per seed, like :mod:`repro.tools.crashmatrix`: payloads
-derive from the seed and mutation counts are structural.
+A config over the sweep engine :class:`~repro.tools.matrix.Matrix`,
+deterministic per seed like every matrix there.
 """
 
 from __future__ import annotations
@@ -39,21 +39,12 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from ..crypto import rsa
-from ..crypto.provider import CryptoProvider
-from ..errors import (ClientCrashed, FileNotFound, FilesystemError,
-                      LeaseHeldError, LeaseLostError)
-from ..fs.client import ClientConfig, SharoesFilesystem
+from ..errors import ClientCrashed, LeaseHeldError, LeaseLostError
 from ..fs.consistency import ForkDetected
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
 from ..sim.clock import SimClock
-from ..storage.blobs import BlobId
-from ..storage.resilient import CrashingServer, ServerWrapper
+from ..storage.resilient import CrashingServer, PauseServer
 from ..storage.server import StorageServer
-from .fsck import VolumeAuditor
+from .matrix import BLOCK, Case, Matrix, audit, holds, path_exists
 
 #: interleaving modes the matrix sweeps.
 SEQUENTIAL = "sequential"
@@ -63,78 +54,9 @@ ZOMBIE = "zombie"
 
 MODES = (SEQUENTIAL, PREEMPT, CRASH, ZOMBIE)
 
-_BLOCK = 256
 _LEASE_S = 5.0
 #: rounds of deferred-op retries before declaring a schedule stuck.
 _DRAIN_ROUNDS = 5
-
-
-class PauseServer(ServerWrapper):
-    """Runs ``hook()`` once, just before the k-th SSP mutation.
-
-    The synchronous stand-in for a context switch: the wrapped client
-    is "descheduled" at an exact point in its wire sequence while other
-    clients run.  Counts the same mutation set as
-    :class:`~repro.storage.resilient.CrashingServer` (puts, deletes,
-    CAS and fenced variants), so crash and preempt sweeps share k.
-    """
-
-    def __init__(self, inner: StorageServer,
-                 pause_at: int | None = None,
-                 hook: Callable[[], None] | None = None):
-        super().__init__(inner, name=f"pausing({inner.name})")
-        self.pause_at = pause_at
-        self.hook = hook
-        self.mutations = 0
-        self._fired = False
-
-    def _mutation(self) -> None:
-        self.mutations += 1
-        if (self.hook is not None and not self._fired
-                and self.pause_at is not None
-                and self.mutations >= self.pause_at):
-            self._fired = True
-            self.hook()
-
-    def put(self, blob_id: BlobId, payload: bytes) -> None:
-        self._mutation()
-        self.inner.put(blob_id, payload)
-
-    def delete(self, blob_id: BlobId) -> None:
-        self._mutation()
-        self.inner.delete(blob_id)
-
-    def put_if(self, blob_id: BlobId, payload: bytes,
-               expected: bytes | None) -> None:
-        self._mutation()
-        self.inner.put_if(blob_id, payload, expected)
-
-    def put_fenced(self, blob_id: BlobId, payload: bytes,
-                   fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.put_fenced(blob_id, payload, fence, epoch)
-
-    def delete_fenced(self, blob_id: BlobId,
-                      fence: BlobId, epoch: int) -> None:
-        self._mutation()
-        self.inner.delete_fenced(blob_id, fence, epoch)
-
-
-@dataclass(frozen=True)
-class InterleaveCase:
-    """One schedule family: a first op raced against rider ops."""
-
-    name: str
-    #: state built before the schedule (run by a plain client).
-    prepare: Callable[[SharoesFilesystem], None]
-    #: the op whose mutation sequence is swept ("alice").
-    first: Callable[[SharoesFilesystem], None]
-    #: (user id, op) pairs injected at the interleaving point, in order.
-    others: tuple
-    #: every op's effect is present.
-    all_applied: Callable[[SharoesFilesystem], bool]
-    #: the first op is fully absent, every rider applied.
-    first_rolled_back: Callable[[SharoesFilesystem], bool]
 
 
 @dataclass
@@ -151,6 +73,7 @@ class InterleaveOutcome:
     fsck_clean: bool
     orphans: int
     vsl_ok: bool
+    scenario: str = ""  # the campaign's shard-adversity scenario
 
     @property
     def consistent(self) -> bool:
@@ -159,23 +82,7 @@ class InterleaveOutcome:
                 and self.vsl_ok)
 
 
-def _exists(fs: SharoesFilesystem, path: str) -> bool:
-    try:
-        fs.lstat(path)
-        return True
-    except (FileNotFound, FilesystemError):
-        return False
-
-
-def _holds(pred: Callable[[SharoesFilesystem], bool],
-           fs: SharoesFilesystem) -> bool:
-    try:
-        return bool(pred(fs))
-    except FilesystemError:
-        return False
-
-
-def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
+def build_cases(payloads: dict[str, bytes]) -> list[Case]:
     """The schedule families.
 
     Every case contends the shared directory ``/d`` -- its table is the
@@ -185,126 +92,96 @@ def build_cases(payloads: dict[str, bytes]) -> list[InterleaveCase]:
     pa, pb, pc, px = (payloads["a"], payloads["b"], payloads["c"],
                       payloads["x"])
     return [
-        InterleaveCase(
+        Case(
             "create-create",
             prepare=lambda fs: None,
-            first=lambda fs: fs.create_file("/d/a", pa),
+            run=lambda fs: fs.create_file("/d/a", pa),
             others=(("bob", lambda fs: fs.create_file("/d/b", pb)),),
-            all_applied=lambda fs: (fs.read_file("/d/a") == pa
+            applied=lambda fs: (fs.read_file("/d/a") == pa
                                     and fs.read_file("/d/b") == pb),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/a")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/a")
                                           and fs.read_file("/d/b") == pb)),
-        InterleaveCase(
+        Case(
             "create-create-create",
             prepare=lambda fs: None,
-            first=lambda fs: fs.create_file("/d/t1", pa),
+            run=lambda fs: fs.create_file("/d/t1", pa),
             others=(("bob", lambda fs: fs.create_file("/d/t2", pb)),
                     ("carol", lambda fs: fs.create_file("/d/t3", pc))),
-            all_applied=lambda fs: (fs.read_file("/d/t1") == pa
+            applied=lambda fs: (fs.read_file("/d/t1") == pa
                                     and fs.read_file("/d/t2") == pb
                                     and fs.read_file("/d/t3") == pc),
-            first_rolled_back=lambda fs: (
-                not _exists(fs, "/d/t1")
+            rolled_back=lambda fs: (
+                not path_exists(fs, "/d/t1")
                 and fs.read_file("/d/t2") == pb
                 and fs.read_file("/d/t3") == pc)),
-        InterleaveCase(
+        Case(
             "rename-create",
             prepare=lambda fs: fs.create_file("/d/x", px),
-            first=lambda fs: fs.rename("/d/x", "/d/y"),
+            run=lambda fs: fs.rename("/d/x", "/d/y"),
             others=(("bob", lambda fs: fs.create_file("/d/c", pc)),),
-            all_applied=lambda fs: (not _exists(fs, "/d/x")
+            applied=lambda fs: (not path_exists(fs, "/d/x")
                                     and fs.read_file("/d/y") == px
                                     and fs.read_file("/d/c") == pc),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/y")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/y")
                                           and fs.read_file("/d/x") == px
                                           and fs.read_file("/d/c") == pc)),
-        InterleaveCase(
+        Case(
             "unlink-mkdir",
             prepare=lambda fs: fs.create_file("/d/x", px),
-            first=lambda fs: fs.unlink("/d/x"),
+            run=lambda fs: fs.unlink("/d/x"),
             others=(("bob", lambda fs: fs.mkdir("/d/sub")),),
-            all_applied=lambda fs: (not _exists(fs, "/d/x")
-                                    and _exists(fs, "/d/sub")),
-            first_rolled_back=lambda fs: (fs.read_file("/d/x") == px
-                                          and _exists(fs, "/d/sub"))),
-        InterleaveCase(
+            applied=lambda fs: (not path_exists(fs, "/d/x")
+                                    and path_exists(fs, "/d/sub")),
+            rolled_back=lambda fs: (fs.read_file("/d/x") == px
+                                          and path_exists(fs, "/d/sub"))),
+        Case(
             "mkdir-create",
             prepare=lambda fs: None,
-            first=lambda fs: fs.mkdir("/d/s"),
+            run=lambda fs: fs.mkdir("/d/s"),
             others=(("bob", lambda fs: fs.create_file("/d/b2", pb)),),
-            all_applied=lambda fs: (_exists(fs, "/d/s")
+            applied=lambda fs: (path_exists(fs, "/d/s")
                                     and fs.read_file("/d/b2") == pb),
-            first_rolled_back=lambda fs: (not _exists(fs, "/d/s")
+            rolled_back=lambda fs: (not path_exists(fs, "/d/s")
                                           and fs.read_file("/d/b2") == pb)),
     ]
 
 
-class InterleaveMatrix:
-    """A tiny multi-client enterprise wired for interleaving sweeps."""
+class InterleaveMatrix(Matrix):
+    """Multi-client sweeps: case x mode x interleaving point."""
 
     USERS = ("alice", "bob", "carol")
+    CLIENT = {"journal": True, "lease": True, "lease_duration_s": _LEASE_S,
+              "cache_bytes": 0}
+    AXIS = MODES
+    COLUMNS = (("case", "<22", "case"), ("mode", "<10", "mode"),
+               ("k", ">3", "point"), ("T", ">3", "total_points"),
+               ("outcome", "<18", "outcome"),
+               ("first-error", "<15", lambda o: o.first_error or "-"),
+               ("defer", ">5", "deferred"),
+               ("fsck", "<5", lambda o: "ok" if o.fsck_clean else "DIRTY"),
+               ("orph", ">4", "orphans"),
+               ("vsl", "<4", lambda o: "ok" if o.vsl_ok else "FORK"))
 
     def __init__(self, seed: int = 0, key_bits: int = 512,
                  server_factory: "Callable | None" = None):
         rng = random.Random(seed)
         self.payloads = {
             name: bytes(rng.randrange(256) for _ in range(size))
-            for name, size in (("a", 2 * _BLOCK), ("b", _BLOCK + 17),
-                               ("c", 3 * _BLOCK), ("x", _BLOCK))}
-        self.clock = SimClock()
-        self.registry = PrincipalRegistry()
-        for name in self.USERS:
-            self.registry.add_user(User(
-                user_id=name, keypair=rsa.generate_keypair(key_bits)))
-        self.registry.create_group("eng", set(self.USERS),
-                                   key_bits=key_bits)
+            for name, size in (("a", 2 * BLOCK), ("b", BLOCK + 17),
+                               ("c", 3 * BLOCK), ("x", BLOCK))}
+        super().__init__(key_bits)
+        clock = SimClock()
         #: ``server_factory(clock)`` swaps the backing store -- the
         #: composed campaign (tools/campaign.py) runs the same sweeps
         #: over a ShardedServer with adversarial shards.
-        self.server = (server_factory(self.clock)
-                       if server_factory is not None else StorageServer())
-        self.volume = SharoesVolume(self.server, self.registry,
-                                    block_size=_BLOCK, clock=self.clock)
-        self.volume.format(root_owner="alice", root_group="eng")
-        GroupKeyService(self.registry, self.server,
-                        CryptoProvider()).publish_all()
-        base = self.client("alice")
-        base.mkdir("/d", mode=0o775)
-        base.unmount()
-        self._base_blobs = self.server.snapshot_blobs()
-        self._base_next = self.volume.allocator._next
-        self._base_now = self.clock.now
+        self.add_stack(server_factory(clock) if server_factory is not None
+                       else StorageServer(), clock)
 
-    # -- plumbing ------------------------------------------------------------
+    def cases(self) -> list[Case]:
+        return build_cases(self.payloads)
 
-    def client(self, user_id: str, server=None,
-               consistency: bool = False) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            self.volume, self.registry.user(user_id),
-            config=ClientConfig(journal=True, lease=True,
-                                lease_duration_s=_LEASE_S,
-                                cache_bytes=0),
-            server=server)
-        if consistency:
-            fs.enable_consistency_log()
-        fs.mount()
-        return fs
-
-    def _probe(self) -> SharoesFilesystem:
-        """A fresh plain client for oracle checks (no lease, no journal)."""
-        fs = SharoesFilesystem(self.volume, self.registry.user("alice"),
-                               config=ClientConfig(cache_bytes=0))
-        fs.mount()
-        return fs
-
-    def _restore(self) -> None:
-        self.server.restore_blobs(self._base_blobs)
-        self.volume.allocator._next = self._base_next
-        self.clock.reset(self._base_now)
-
-    def _audit(self) -> tuple[bool, int]:
-        report = VolumeAuditor(self.volume).audit()
-        return report.clean, len(report.orphaned_blobs)
+    def points(self, mode: str, total: int):
+        return (0,) if mode == SEQUENTIAL else range(1, total + 1)
 
     # -- one schedule --------------------------------------------------------
 
@@ -344,14 +221,10 @@ class InterleaveMatrix:
             return False
         return True
 
-    def run_cell(self, case: InterleaveCase, mode: str,
-                 point: int = 0,
-                 total: int | None = None) -> InterleaveOutcome:
+    def run_cell(self, case: Case, mode: str, point: int,
+                 total: int) -> InterleaveOutcome:
         """Run one schedule from a pristine volume and judge it."""
-        self._restore()
-        prep = self.client("alice")
-        case.prepare(prep)
-        prep.unmount()
+        self.prepare(case)
 
         riders = {uid: self.client(uid, consistency=True)
                   for uid, _ in case.others}
@@ -383,7 +256,7 @@ class InterleaveMatrix:
                             consistency=True)
 
         try:
-            case.first(first)
+            case.run(first)
         except ClientCrashed:
             first_error = "ClientCrashed"
         except LeaseLostError:
@@ -401,7 +274,7 @@ class InterleaveMatrix:
         deferred += drained_deferred
         if first_error == "LeaseHeldError" and drained:
             try:
-                case.first(first)
+                case.run(first)
                 first_error = ""
             except LeaseLostError:
                 first_error = "LeaseLostError"
@@ -413,71 +286,17 @@ class InterleaveMatrix:
             survivors["alice"] = first
         vsl_ok = drained and self._vsl_round(survivors)
 
-        probe = self._probe()
-        if _holds(case.all_applied, probe):
+        probe = self.probe()
+        if holds(case.applied, probe):
             outcome = "all_applied"
-        elif (first_error and _holds(case.first_rolled_back, probe)):
+        elif (first_error and holds(case.rolled_back, probe)):
             outcome = "first_rolled_back"
         else:
             outcome = (f"INCONSISTENT (first_error="
                        f"{first_error or 'none'})")
-        clean, orphans = self._audit()
+        clean, orphans = audit(self.volume)
         return InterleaveOutcome(
-            case=case.name, mode=mode, point=point,
-            total_points=total if total is not None else point,
+            case=case.name, mode=mode, point=point, total_points=total,
             outcome=outcome, first_error=first_error,
             deferred=deferred, fsck_clean=clean, orphans=orphans,
-            vsl_ok=vsl_ok)
-
-    # -- sweeps --------------------------------------------------------------
-
-    def count_points(self, case: InterleaveCase) -> int:
-        """Counting run: how many SSP mutations the first op issues."""
-        self._restore()
-        prep = self.client("alice")
-        case.prepare(prep)
-        prep.unmount()
-        counter = CrashingServer(self.server)
-        first = self.client("alice", server=counter)
-        case.first(first)
-        return counter.mutations
-
-    def run_case(self, case: InterleaveCase,
-                 modes: tuple = MODES) -> list[InterleaveOutcome]:
-        total = self.count_points(case)
-        outcomes = []
-        if SEQUENTIAL in modes:
-            outcomes.append(self.run_cell(case, SEQUENTIAL, 0, total))
-        for mode in (PREEMPT, CRASH, ZOMBIE):
-            if mode not in modes:
-                continue
-            for k in range(1, total + 1):
-                outcomes.append(self.run_cell(case, mode, k, total))
-        return outcomes
-
-    def run(self, modes: tuple = MODES,
-            cases: list[InterleaveCase] | None = None
-            ) -> list[InterleaveOutcome]:
-        results = []
-        for case in cases or build_cases(self.payloads):
-            results.extend(self.run_case(case, modes))
-        return results
-
-
-def outcomes_table(outcomes: list[InterleaveOutcome]) -> str:
-    """Render the schedule-outcomes table (the CI artifact)."""
-    lines = [f"{'case':<22} {'mode':<10} {'k':>3} {'T':>3} "
-             f"{'outcome':<18} {'first-error':<15} {'defer':>5} "
-             f"{'fsck':<5} {'orph':>4} {'vsl':<4}",
-             "-" * 100]
-    for o in outcomes:
-        lines.append(
-            f"{o.case:<22} {o.mode:<10} {o.point:>3} "
-            f"{o.total_points:>3} {o.outcome:<18} "
-            f"{(o.first_error or '-'):<15} {o.deferred:>5} "
-            f"{'ok' if o.fsck_clean else 'DIRTY':<5} {o.orphans:>4} "
-            f"{'ok' if o.vsl_ok else 'FORK':<4}")
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append("-" * 100)
-    lines.append(f"{len(outcomes)} cells, {bad} inconsistent")
-    return "\n".join(lines)
+            vsl_ok=vsl_ok, scenario=getattr(self.scenario, "name", ""))

@@ -26,88 +26,26 @@ unsharded twin (blobs and decrypted tree), fsck-clean with zero
 orphans, fully replicated on whichever ring ended up authoritative
 (the target ring after a resume, either ring after repair arbitration
 -- matching its resolved plan action), with no plan left adopted.
-Deterministic per seed, like :mod:`repro.tools.crashmatrix`.
+A config over the sweep engine :class:`~repro.tools.matrix.Matrix`
+(the case is the target ring), deterministic per seed like every matrix
+there.
 """
 
 from __future__ import annotations
 
 import random
-import secrets
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
 
-from ..crypto import rsa
 from ..errors import ClientCrashed
-from ..fs.client import ClientConfig, SharoesFilesystem
-from ..fs.permissions import DIRECTORY
-from ..fs.volume import SharoesVolume
-from ..principals.groups import GroupKeyService
-from ..principals.registry import PrincipalRegistry
-from ..principals.users import User
 from ..sim.clock import SimClock
 from ..storage.faults import CrashingRebalancer
 from ..storage.rebalance import Rebalancer
 from ..storage.server import StorageServer
 from ..storage.shards import RingSpec, ShardedServer
-from ..crypto.provider import CryptoProvider
-from .fsck import VolumeAuditor
+from .matrix import BLOCK, Matrix, audit, pinned_entropy, visible_tree
 
 #: recovery variants crossed with every crash point.
 VARIANTS = ("resume", "repair", "writes", "shard-down")
-
-_BLOCK = 256
-
-
-class _SeededEntropy:
-    """Drop-in for the ``secrets`` functions the crypto stack uses."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def token_bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
-
-    def randbelow(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
-
-
-@contextmanager
-def _pinned_entropy(seed: int):
-    """Route ``secrets`` through a seeded stream (twin-run determinism).
-
-    Both stacks replay the same op sequence under the same seed, so
-    they draw identical keys/IVs in identical order and produce
-    byte-identical ciphertext -- the property every cell's differential
-    judgement rests on.
-    """
-    det = _SeededEntropy(seed)
-    saved = (secrets.token_bytes, secrets.randbelow, secrets.randbits)
-    secrets.token_bytes = det.token_bytes
-    secrets.randbelow = det.randbelow
-    secrets.randbits = det.randbits
-    try:
-        yield
-    finally:
-        secrets.token_bytes, secrets.randbelow, secrets.randbits = saved
-
-
-def _visible_tree(fs: SharoesFilesystem, path: str = "/") -> dict:
-    """Everything an application can see below ``path``."""
-    out = {}
-    for name in sorted(fs.readdir(path)):
-        child = path.rstrip("/") + "/" + name
-        stat = fs.getattr(child)
-        entry = {"stat": stat}
-        if stat.ftype == DIRECTORY:
-            entry["children"] = _visible_tree(fs, child)
-        else:
-            entry["content"] = fs.read_file(child)
-        out[name] = entry
-    return out
 
 
 @dataclass
@@ -137,130 +75,92 @@ class RebalanceOutcome:
                 and self.plan_cleared)
 
 
-class RebalanceMatrix:
+class RebalanceMatrix(Matrix):
     """Twin-stack crash sweep over one topology transition."""
+
+    CLIENT = {"journal": True, "lease": True, "cache_bytes": 0}
+    AXIS = VARIANTS
+    COLUMNS = (
+        ("variant", "<12", "variant"), ("k", ">4", "point"),
+        ("T", ">4", "total_points"), ("step", "<9", "step"),
+        ("plan", "<12", "plan_action"), ("ring", "<7", "ring"),
+        ("blobs", "<6", lambda o: "ok" if o.blobs_ok else "DIFF"),
+        ("tree", "<5", lambda o: "ok" if o.tree_ok else "DIFF"),
+        ("fsck", "<5", lambda o: ("ok" if o.fsck_clean and not o.orphans
+                                  else "DIRTY")),
+        ("repl", "<5", lambda o: "ok" if o.replicated else "UNDER"),
+        ("verdict", "<12",
+         lambda o: "consistent" if o.consistent else "INCONSISTENT"))
+    RULE = 92
 
     def __init__(self, seed: int = 0, key_bits: int = 512,
                  shards: int = 4, replicas: int = 2, spares: int = 2,
                  target_replicas: int = 3, files: int = 5):
         self.seed = seed
         rng = random.Random(seed)
-        sizes = [_BLOCK * (1 + rng.randrange(3)) + rng.randrange(64)
+        sizes = [BLOCK * (1 + rng.randrange(3)) + rng.randrange(64)
                  for _ in range(files)]
-        self.payloads = [bytes(rng.randrange(256) for _ in range(size))
-                         for size in sizes]
-        with _pinned_entropy(seed * 7 + 1):
-            self.registry = PrincipalRegistry()
-            self.registry.add_user(User(
-                user_id="alice",
-                keypair=rsa.generate_keypair(key_bits)))
-            self.registry.create_group("eng", {"alice"},
-                                       key_bits=key_bits)
+        payloads = [bytes(rng.randrange(256) for _ in range(size))
+                     for size in sizes]
+        with pinned_entropy(seed * 7 + 1):
+            super().__init__(key_bits)
         self.keypair = self.registry.user("alice").keypair
 
-        self.clock_s = SimClock()
-        self.clock_p = SimClock()
-        self.sharded = ShardedServer(shards=shards, replicas=replicas,
-                                     clock=self.clock_s)
+        sharded = ShardedServer(shards=shards, replicas=replicas,
+                                clock=SimClock())
         for _ in range(spares):
-            self.sharded.add_shard()
-        self.plain = StorageServer(name="twin-ssp")
-        self.volume_s = self._build(self.sharded, self.clock_s)
-        self.volume_p = self._build(self.plain, self.clock_p)
-        self.base_ring = self.sharded.ring
+            sharded.add_shard()
+        # Both stacks format + populate from the identical entropy
+        # stream, so they mint identical keys, IVs and ciphertext.
+        with pinned_entropy(seed * 7 + 2):
+            self.add_stack(sharded, sharded.clock, files=payloads)
+        with pinned_entropy(seed * 7 + 2):
+            self.twin = self.add_stack(StorageServer(name="twin-ssp"),
+                                       SimClock(), files=payloads)
+        self.base_ring = sharded.ring
         self.target_ring = RingSpec(tuple(range(shards + spares)),
                                     target_replicas)
-
-        self._base_sharded = self.sharded.snapshot_blobs()
-        self._base_plain = self.plain.snapshot_blobs()
-        if self._base_sharded != self._base_plain:
+        if self.stacks[0].base.blobs != self.twin.base.blobs:
             raise AssertionError(
                 "twin stacks diverged during setup -- the entropy "
                 "pinning no longer covers every crypto draw")
-        self._base_next_s = self.volume_s.allocator._next
-        self._base_next_p = self.volume_p.allocator._next
-        self._base_tree = _visible_tree(self._probe(self.volume_p))
+        self._base_tree = visible_tree(self.probe(self.twin))
 
-    # -- setup ---------------------------------------------------------------
+    def cases(self) -> list[RingSpec]:
+        return [self.target_ring]
 
-    def _build(self, server, clock) -> SharoesVolume:
-        """Format + populate one stack (identical entropy stream each)."""
-        with _pinned_entropy(self.seed * 7 + 2):
-            volume = SharoesVolume(server, self.registry,
-                                   block_size=_BLOCK, clock=clock)
-            volume.format(root_owner="alice", root_group="eng")
-            GroupKeyService(self.registry, server,
-                            CryptoProvider()).publish_all()
-            fs = self._client(volume)
-            fs.mkdir("/d", mode=0o775)
-            for i, payload in enumerate(self.payloads):
-                fs.create_file(f"/d/f{i}", mode=0o664)
-                fs.write_file(f"/d/f{i}", payload)
-            fs.unmount()
-        return volume
-
-    def _client(self, volume: SharoesVolume) -> SharoesFilesystem:
-        fs = SharoesFilesystem(
-            volume, self.registry.user("alice"),
-            config=ClientConfig(journal=True, lease=True,
-                                cache_bytes=0))
-        fs.mount()
-        return fs
-
-    def _probe(self, volume: SharoesVolume) -> SharoesFilesystem:
-        fs = SharoesFilesystem(volume, self.registry.user("alice"),
-                               config=ClientConfig(cache_bytes=0))
-        fs.mount()
-        return fs
-
-    def _restore(self) -> None:
-        """Both stacks back to the pristine base, old ring active."""
-        self.sharded.clear_wrappers()
-        self.sharded.set_ring(self.base_ring.members,
-                              self.base_ring.replicas)
-        self.sharded.restore_blobs(self._base_sharded)
-        self.plain.restore_blobs(self._base_plain)
-        self.volume_s.allocator._next = self._base_next_s
-        self.volume_p.allocator._next = self._base_next_p
-        self.clock_s.reset(0.0)
-        self.clock_p.reset(0.0)
-
-    # -- the sweep -----------------------------------------------------------
-
-    def count_points(self) -> int:
+    def count_points(self, target: RingSpec) -> int:
         """Calibration run: T pipeline actions in a clean rebalance."""
-        self._restore()
+        self.restore()
         counter = CrashingRebalancer(crash_after=None)
-        reb = Rebalancer(self.sharded, keypair=self.keypair,
-                         hook=counter)
-        reb.propose(self.target_ring.members, self.target_ring.replicas)
+        reb = Rebalancer(self.server, keypair=self.keypair, hook=counter)
+        reb.propose(target.members, target.replicas)
         reb.execute()
-        self._steps = [step for step, _ in counter.log]
         return counter.actions
 
     def _extra_writes(self, cell_seed: int) -> None:
         """The same mid-recovery ops on both stacks (pinned per cell)."""
-        for volume in (self.volume_p, self.volume_s):
-            with _pinned_entropy(cell_seed):
-                fs = self._client(volume)
+        for stack in (self.twin, self.stacks[0]):
+            with pinned_entropy(cell_seed):
+                fs = self.client(stack=stack)
                 fs.write_file("/d/f0", b"rewritten-" + bytes(
                     random.Random(cell_seed).randrange(256)
-                    for _ in range(_BLOCK)))
+                    for _ in range(BLOCK)))
                 fs.create_file("/d/mid", mode=0o664)
                 fs.write_file("/d/mid", b"written mid-rebalance")
                 fs.unmount()
 
-    def run_cell(self, point: int, variant: str,
+    def run_cell(self, target: RingSpec, variant: str, point: int,
                  total: int) -> RebalanceOutcome:
-        self._restore()
-        server = self.sharded
+        """Crash the rebalancer at action ``point``, recover, judge."""
+        self.restore()
+        server = self.server
         hook = CrashingRebalancer(crash_after=point)
         reb = Rebalancer(server, keypair=self.keypair, hook=hook)
         crashed = False
         step = ""
         try:
-            reb.propose(self.target_ring.members,
-                        self.target_ring.replicas)
+            reb.propose(target.members, target.replicas)
             reb.execute()
         except ClientCrashed:
             crashed = True
@@ -274,7 +174,7 @@ class RebalanceMatrix:
                 # rotate the victim with the crash point.
                 down = self.base_ring.members[
                     point % len(self.base_ring.members)]
-                server.outage(down, start_s=self.clock_s.now)
+                server.outage(down, start_s=self.clock.now)
             if variant == "writes":
                 self._extra_writes(self.seed * 1_000_003 + point)
             if variant == "repair":
@@ -293,7 +193,7 @@ class RebalanceMatrix:
         if not repair.fully_replicated:
             repair = server.repair()
 
-        if server.ring == self.target_ring:
+        if server.ring == target:
             ring = "target"
         elif server.ring == self.base_ring:
             ring = "base"
@@ -301,53 +201,17 @@ class RebalanceMatrix:
             ring = "other"
         ring_ok = (ring == "base" if plan_action == "rolled_back"
                    else ring == "target")
-        blobs_ok = server.raw_blobs() == self.plain.raw_blobs()
+        blobs_ok = server.raw_blobs() == self.twin.server.raw_blobs()
         if variant == "writes" and crashed:
-            tree_ok = (_visible_tree(self._probe(self.volume_s))
-                       == _visible_tree(self._probe(self.volume_p)))
+            tree_ok = (visible_tree(self.probe())
+                       == visible_tree(self.probe(self.twin)))
         else:
-            tree_ok = (_visible_tree(self._probe(self.volume_s))
-                       == self._base_tree)
-        audit = VolumeAuditor(self.volume_s).audit()
+            tree_ok = visible_tree(self.probe()) == self._base_tree
+        clean, orphans = audit(self.volume)
         return RebalanceOutcome(
             variant=variant, point=point, total_points=total,
             step=step, crashed=crashed, plan_action=plan_action,
             ring=ring, ring_ok=ring_ok, blobs_ok=blobs_ok,
-            tree_ok=tree_ok, fsck_clean=audit.clean,
-            orphans=len(audit.orphaned_blobs),
+            tree_ok=tree_ok, fsck_clean=clean, orphans=orphans,
             replicated=repair.fully_replicated,
             plan_cleared=server.plan is None)
-
-    def run(self, variants: Sequence[str] = VARIANTS,
-            points: Sequence[int] | None = None
-            ) -> list[RebalanceOutcome]:
-        total = self.count_points()
-        ks = list(points) if points is not None else \
-            list(range(1, total + 1))
-        outcomes = []
-        for variant in variants:
-            for k in ks:
-                outcomes.append(self.run_cell(k, variant, total))
-        return outcomes
-
-
-def outcomes_table(outcomes: list[RebalanceOutcome]) -> str:
-    """Render the matrix outcome table (the CI artifact)."""
-    lines = [
-        f"{'variant':<12} {'k':>4} {'T':>4} {'step':<9} "
-        f"{'plan':<12} {'ring':<7} {'blobs':<6} {'tree':<5} "
-        f"{'fsck':<5} {'repl':<5} {'verdict':<12}",
-        "-" * 92]
-    for o in outcomes:
-        lines.append(
-            f"{o.variant:<12} {o.point:>4} {o.total_points:>4} "
-            f"{o.step:<9} {o.plan_action:<12} {o.ring:<7} "
-            f"{'ok' if o.blobs_ok else 'DIFF':<6} "
-            f"{'ok' if o.tree_ok else 'DIFF':<5} "
-            f"{'ok' if o.fsck_clean and not o.orphans else 'DIRTY':<5} "
-            f"{'ok' if o.replicated else 'UNDER':<5} "
-            f"{'consistent' if o.consistent else 'INCONSISTENT':<12}")
-    lines.append("-" * 92)
-    bad = sum(1 for o in outcomes if not o.consistent)
-    lines.append(f"{len(outcomes)} cells, {bad} inconsistent")
-    return "\n".join(lines)

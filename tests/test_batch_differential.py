@@ -25,159 +25,32 @@ crypto layer, so the call sequences match).
 
 from __future__ import annotations
 
-import random
-import secrets
-from contextlib import contextmanager
-
 import pytest
 
 from repro.fs.client import ClientConfig
-from repro.fs.permissions import DIRECTORY, AclEntry
 from repro.fs.scheduler import _BATCH_SIZE_BUCKETS
 from repro.tools.fsck import VolumeAuditor
-from repro.workloads.runner import BenchEnv, make_env
-
-_SEED = 0x5EED
-
-
-class _SeededEntropy:
-    """Drop-in for the ``secrets`` functions the crypto stack uses."""
-
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
-
-    def token_bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
-
-    def randbelow(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
+from repro.tools.matrix import pinned_entropy
+from repro.workloads.runner import make_env
 
 
-@contextmanager
-def _pinned_entropy(seed: int = _SEED):
-    det = _SeededEntropy(seed)
-    saved = (secrets.token_bytes, secrets.randbelow, secrets.randbits)
-    secrets.token_bytes = det.token_bytes
-    secrets.randbelow = det.randbelow
-    secrets.randbits = det.randbits
-    try:
-        yield
-    finally:
-        secrets.token_bytes, secrets.randbelow, secrets.randbits = saved
+@pytest.fixture
+def batch_run(differential_run):
+    """The differential run plus the batch-size histogram's totals."""
+
+    def run(workload: str, batching: bool, readahead: bool = False):
+        env, snap = differential_run(
+            workload, force={"batching": batching, "readahead": readahead})
+        hist = env.fs.metrics.histogram("client.batch.size",
+                                        buckets=_BATCH_SIZE_BUCKETS)
+        return dict(snap, frames=hist.count, frame_ops=hist.total)
+
+    return run
 
 
-@contextmanager
-def _forced_config(**overrides):
-    """Force config fields onto every client a run mounts.
-
-    Workloads mount their own fresh clients with their own configs
-    (cache settings etc.); the differential axis must apply to those
-    too, so ``BenchEnv.fresh_client`` is wrapped to stamp the overrides
-    onto whatever config the workload chose.
-    """
-    original = BenchEnv.fresh_client
-
-    def stamped(self, config=None, reset_cost=True):
-        config = config if config is not None else ClientConfig()
-        for name, value in overrides.items():
-            setattr(config, name, value)
-        return original(self, config=config, reset_cost=reset_cost)
-
-    BenchEnv.fresh_client = stamped
-    try:
-        yield
-    finally:
-        BenchEnv.fresh_client = original
-
-
-def _sharing_script(env: BenchEnv) -> None:
-    """Sharing/revocation mix: ACL grants, revocation (re-encryption),
-    ownership churn, rename and unlink -- the mutation-heavy paths that
-    fan multi-blob writes through ``put_many``/``delete_many``."""
-    fs = env.fs
-    payload = b"collaborative document " * 40
-    fs.mkdir("/proj", mode=0o755)
-    for i in range(6):
-        fs.create_file(f"/proj/f{i}", payload + bytes([i]), mode=0o644)
-    fs.set_acl("/proj/f0", (AclEntry("bob", 0o4),))
-    fs.set_acl("/proj/f1", (AclEntry("bob", 0o6),))
-    fs.chmod("/proj/f2", 0o600)
-    fs.chown("/proj/f3", "bob")
-    # Revoke bob's grant: with immediate_revocation this re-encrypts.
-    fs.set_acl("/proj/f0", ())
-    fs.rename("/proj/f4", "/proj/g4")
-    fs.unlink("/proj/f5")
-
-
-def _run_workload(workload: str, env: BenchEnv) -> None:
-    if workload == "postmark":
-        import itertools
-
-        from repro.workloads import postmark
-        # Postmark namespaces each pass with a process-global counter;
-        # pin it so both differential runs build identical paths.
-        postmark._RUN_COUNTER = itertools.count()
-        postmark.run_postmark(env, files=30, transactions=40, subdirs=3)
-    elif workload == "andrew":
-        from repro.workloads.andrew import run_andrew
-        run_andrew(env)
-    elif workload == "createlist":
-        from repro.workloads.createlist import run_create_and_list
-        run_create_and_list(env, files=60, dirs=6)
-    elif workload == "sharing":
-        _sharing_script(env)
-    else:  # pragma: no cover
-        raise AssertionError(workload)
-
-
-def _visible_tree(fs, path: str = "/") -> dict:
-    """Everything an application can see below ``path``."""
-    out = {}
-    for name in sorted(fs.readdir(path)):
-        child = (path.rstrip("/") + "/" + name)
-        stat = fs.getattr(child)
-        entry = {"stat": stat}
-        if stat.ftype == DIRECTORY:
-            entry["children"] = _visible_tree(fs, child)
-        else:
-            try:
-                entry["content"] = fs.read_file(child)
-            except Exception as exc:  # symlinks etc.: record the shape
-                entry["content"] = type(exc).__name__
-        out[name] = entry
-    return out
-
-
-def _differential_run(workload: str, batching: bool,
-                      readahead: bool = False):
-    with _pinned_entropy(), _forced_config(batching=batching,
-                                           readahead=readahead):
-        config = ClientConfig(batching=batching, readahead=readahead)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
-        fs = env.fs
-        hist = fs.metrics.histogram("client.batch.size",
-                                    buckets=_BATCH_SIZE_BUCKETS)
-        return {
-            "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
-            "requests": fs.request_count,
-            "frames": hist.count,
-            "frame_ops": hist.total,
-            "volume": env._volume,
-        }
-
-
-WORKLOADS = ("postmark", "andrew", "createlist", "sharing")
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_batching_differential(workload):
-    batched = _differential_run(workload, batching=True)
-    unbatched = _differential_run(workload, batching=False)
+def test_batching_differential(batch_run, workload):
+    batched = batch_run(workload, batching=True)
+    unbatched = batch_run(workload, batching=False)
 
     # Byte-identical final SSP state: same blob ids, same ciphertext.
     assert set(batched["blobs"]) == set(unbatched["blobs"])
@@ -205,13 +78,11 @@ def test_batching_differential(workload):
     assert report.clean, report
 
 
-def test_readahead_differential_createlist():
+def test_readahead_differential_createlist(batch_run):
     """Readahead is purely speculative: same state, same semantics,
     fewer round trips on the list-heavy phase."""
-    plain = _differential_run("createlist", batching=True,
-                              readahead=False)
-    eager = _differential_run("createlist", batching=True,
-                              readahead=True)
+    plain = batch_run("createlist", batching=True, readahead=False)
+    eager = batch_run("createlist", batching=True, readahead=True)
     assert eager["blobs"] == plain["blobs"]
     assert eager["tree"] == plain["tree"]
     assert eager["requests"] < plain["requests"]
@@ -222,7 +93,7 @@ def test_readahead_differential_createlist():
 def test_readahead_cold_component_falls_back():
     """A prefetch miss (cold/absent blob) must degrade to the demand
     path silently: same answers, fsck clean."""
-    with _pinned_entropy():
+    with pinned_entropy(0x5EED):
         env = make_env("sharoes",
                        config=ClientConfig(batching=True, readahead=True))
         fs = env.fs

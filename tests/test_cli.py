@@ -156,3 +156,38 @@ class TestBenchDiffResolveGate:
         assert main(["stats", "--workload", "office",
                      "--mdcache"]) == 2
         assert "andrew" in capsys.readouterr().err
+
+
+class TestMatrixCommands:
+    """The four matrix harnesses' thin CLI layer."""
+
+    @pytest.mark.parametrize("argv", [
+        ["crash-matrix", "--ops", "mkdir,nope"],
+        ["interleave", "--modes", "nope"],
+        ["interleave", "--cases", "nope"],
+        ["campaign", "--modes", "nope"],
+        ["campaign", "--cases", "nope"],
+        ["campaign", "--scenarios", "nope"],
+        ["rebalance-matrix", "--variants", "nope"],
+    ])
+    def test_unknown_name_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        assert "unknown" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["crash-matrix", "--ops", "mkdir", "--recovery", "mount"],
+        ["interleave", "--cases", "mkdir-create", "--modes", "sequential"],
+        ["campaign", "--cases", "mkdir-create", "--modes", "sequential",
+         "--scenarios", "rollback"],
+        ["rebalance-matrix", "--variants", "resume"],
+    ])
+    def test_one_case_subset(self, capsys, monkeypatch, tmp_path, argv):
+        from repro.tools.rebalancematrix import RebalanceMatrix
+        # The rebalance transition has no case subset: sweep one k only.
+        monkeypatch.setattr(RebalanceMatrix, "points",
+                            lambda self, mode, total: (1,))
+        out = tmp_path / "table.txt"
+        assert main(argv + ["--seed", "2008", "--out", str(out)]) == 0
+        table = out.read_text()
+        assert table.endswith(" 0 inconsistent\n")
+        assert capsys.readouterr().out == f"wrote {out}\n{table}"

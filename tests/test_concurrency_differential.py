@@ -17,50 +17,43 @@ be indistinguishable to everyone except the wall clock:
   faster (the headline claim of BENCH_10, gated at >= 25% there).
 
 The entropy-pinning trick is the same as the batching differential
-(tests/test_batch_differential.py, which this module imports its
-helpers from): both runs swap ``secrets`` for a seeded generator, so
-they mint identical keys, IVs, and signature nonces in the same order.
+(the shared ``differential_run`` fixture in conftest.py): both runs
+swap ``secrets`` for a seeded generator, so they mint identical keys,
+IVs, and signature nonces in the same order.
 That only works because staging happens strictly below seal/sign --
 which is itself part of what these tests prove.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from repro.fs.client import ClientConfig
 from repro.tools.fsck import VolumeAuditor
-from repro.workloads.runner import BenchEnv, flush_client, make_env
-
-from tests.test_batch_differential import (WORKLOADS, _forced_config,
-                                           _pinned_entropy, _run_workload,
-                                           _visible_tree)
+from repro.workloads.runner import flush_client
 
 
-def _concurrency_run(workload: str, concurrency: int,
-                     flaky_p: float = 0.0) -> dict:
-    with _pinned_entropy(), _forced_config(concurrency=concurrency):
-        config = ClientConfig(concurrency=concurrency)
-        env = make_env("sharoes", config=config, extra_users=("bob",),
-                       flaky_p=flaky_p, flaky_seed=77)
-        _run_workload(workload, env)
-        fs = env.fs
-        flush_client(fs)
-        sched = getattr(fs, "scheduler", None)
-        return {
-            "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
-            "requests": fs.request_count,
-            "wall": env.cost.clock.now,
-            "volume": env._volume,
-            "scheduler": sched.snapshot() if sched is not None else None,
-        }
+@pytest.fixture
+def concurrency_run(differential_run):
+    """The differential run, flushed, plus wall clock and scheduler."""
+
+    def run(workload: str, concurrency: int, flaky_p: float = 0.0):
+        env, snap = differential_run(
+            workload, force={"concurrency": concurrency},
+            flaky_p=flaky_p, flaky_seed=77,
+            after=lambda env: flush_client(env.fs))
+        sched = getattr(env.fs, "scheduler", None)
+        return dict(snap, wall=env.cost.clock.now,
+                    scheduler=sched.snapshot() if sched is not None
+                    else None)
+
+    return run
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_concurrency_differential(workload):
-    concurrent = _concurrency_run(workload, concurrency=8)
-    sequential = _concurrency_run(workload, concurrency=0)
+def test_concurrency_differential(concurrency_run, workload):
+    concurrent = concurrency_run(workload, concurrency=8)
+    sequential = concurrency_run(workload, concurrency=0)
 
     # Byte-identical final SSP state: same blob ids, same ciphertext.
     assert set(concurrent["blobs"]) == set(sequential["blobs"])
@@ -84,16 +77,16 @@ def test_concurrency_differential(workload):
     assert report.clean, report
 
 
-def test_postmark_strictly_faster():
+def test_postmark_strictly_faster(concurrency_run):
     """On the RTT-bound transaction mix the overlap must show up as a
     strict wall-clock win, not a tie."""
-    concurrent = _concurrency_run("postmark", concurrency=8)
-    sequential = _concurrency_run("postmark", concurrency=0)
+    concurrent = concurrency_run("postmark", concurrency=8)
+    sequential = concurrency_run("postmark", concurrency=0)
     assert concurrent["blobs"] == sequential["blobs"]
     assert concurrent["wall"] < sequential["wall"]
 
 
-def test_postmark_speedup_gate():
+def test_postmark_speedup_gate(differential_run):
     """The BENCH_10 acceptance bar: >= 25% postmark wall-clock
     reduction at concurrency=8, at a scale where the transaction mix
     (not setup) dominates -- the same bar CI gates via
@@ -101,14 +94,16 @@ def test_postmark_speedup_gate():
     from repro.workloads import postmark
 
     def run(concurrency: int) -> float:
-        import itertools
-        with _pinned_entropy(), _forced_config(concurrency=concurrency):
-            env = make_env("sharoes",
-                           config=ClientConfig(concurrency=concurrency))
+        results = []
+
+        def workload(env) -> None:
             postmark._RUN_COUNTER = itertools.count()
-            result = postmark.run_postmark(env, files=80,
-                                           transactions=200, subdirs=5)
-            return result.total_seconds
+            results.append(postmark.run_postmark(
+                env, files=80, transactions=200, subdirs=5))
+
+        differential_run(workload, force={"concurrency": concurrency},
+                         extra_users=())
+        return results[0].total_seconds
 
     sequential = run(0)
     concurrent = run(8)
@@ -120,13 +115,13 @@ def test_postmark_speedup_gate():
 
 
 @pytest.mark.parametrize("workload", ("postmark", "sharing"))
-def test_flaky_concurrency_reconciles(workload):
+def test_flaky_concurrency_reconciles(concurrency_run, workload):
     """Fault injection composes: a seeded flaky SSP under a pipelined
     client (retries ride the transport's batch partial-retry path)
     still converges to the exact bytes of the undisturbed sequential
     run, and fsck stays clean."""
-    flaky = _concurrency_run(workload, concurrency=8, flaky_p=0.05)
-    reference = _concurrency_run(workload, concurrency=0)
+    flaky = concurrency_run(workload, concurrency=8, flaky_p=0.05)
+    reference = concurrency_run(workload, concurrency=0)
 
     assert flaky["blobs"] == reference["blobs"]
     assert flaky["tree"] == reference["tree"]

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.tools.crashmatrix import (FSCK, MOUNT, CrashMatrix,
-                                     build_cases, outcomes_table)
+from repro.tools.crashmatrix import FSCK, MOUNT, CrashMatrix, build_cases
 
 OP_NAMES = [case.name for case in build_cases()]
 
@@ -24,24 +23,23 @@ def matrix() -> CrashMatrix:
 
 
 def _case(matrix: CrashMatrix, name: str):
-    [case] = [c for c in build_cases(matrix.data, matrix.new)
-              if c.name == name]
+    [case] = [c for c in matrix.cases() if c.name == name]
     return case
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_mount_recovery_converges(matrix, op):
-    outcomes = matrix.run_case(_case(matrix, op), MOUNT)
+    outcomes = matrix.run_case(_case(matrix, op), (MOUNT,))
     assert outcomes, f"{op}: no crash points discovered"
     bad = [o for o in outcomes if not o.consistent]
-    assert not bad, outcomes_table(bad)
+    assert not bad, matrix.table(bad)
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
 def test_fsck_repair_converges(matrix, op):
-    outcomes = matrix.run_case(_case(matrix, op), FSCK)
+    outcomes = matrix.run_case(_case(matrix, op), (FSCK,))
     bad = [o for o in outcomes if not o.consistent]
-    assert not bad, outcomes_table(bad)
+    assert not bad, matrix.table(bad)
 
 
 @pytest.mark.parametrize("op", OP_NAMES)
@@ -49,7 +47,7 @@ def test_journal_append_crash_rolls_back(matrix, op):
     """k=1 is the intent append: nothing of the op reached the SSP, so
     recovery must observe a full rollback, and every later crash point
     must roll forward to fully applied."""
-    outcomes = matrix.run_case(_case(matrix, op), MOUNT)
+    outcomes = matrix.run_case(_case(matrix, op), (MOUNT,))
     assert outcomes[0].outcome == "rolled_back"
     assert all(o.outcome == "applied" for o in outcomes[1:])
 
@@ -58,14 +56,14 @@ def test_matrix_is_deterministic_per_seed():
     a = CrashMatrix(seed=7)
     b = CrashMatrix(seed=7)
     case = "rename"
-    assert (a.run_case(_case(a, case), MOUNT)
-            == b.run_case(_case(b, case), MOUNT))
+    assert (a.run_case(_case(a, case), (MOUNT,))
+            == b.run_case(_case(b, case), (MOUNT,)))
 
 
 def test_every_op_has_multiple_crash_points(matrix):
     """Each op is genuinely multi-blob: a single-put op would make the
     atomicity machinery vacuous."""
     for op in OP_NAMES:
-        outcomes = matrix.run_case(_case(matrix, op), MOUNT)
+        outcomes = matrix.run_case(_case(matrix, op), (MOUNT,))
         assert outcomes[0].total_points >= 3, (
             f"{op}: only {outcomes[0].total_points} mutations")

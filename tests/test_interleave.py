@@ -14,8 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.tools.interleave import (CRASH, MODES, PREEMPT, SEQUENTIAL,
-                                    ZOMBIE, InterleaveMatrix, build_cases,
-                                    outcomes_table)
+                                    ZOMBIE, InterleaveMatrix, build_cases)
 
 CASE_NAMES = [case.name for case in
               build_cases({name: b"" for name in "abcx"})]
@@ -30,8 +29,7 @@ def matrix() -> InterleaveMatrix:
 
 
 def _case(matrix: InterleaveMatrix, name: str):
-    [case] = [c for c in build_cases(matrix.payloads)
-              if c.name == name]
+    [case] = [c for c in matrix.cases() if c.name == name]
     return case
 
 
@@ -40,7 +38,23 @@ def test_all_interleavings_consistent(matrix, name):
     outcomes = matrix.run_case(_case(matrix, name), MODES)
     assert outcomes, f"{name}: no interleaving points discovered"
     bad = [o for o in outcomes if not o.consistent]
-    assert not bad, outcomes_table(bad)
+    assert not bad, matrix.table(bad)
+
+
+def test_matrix_is_deterministic_per_seed():
+    a = InterleaveMatrix(seed=7)
+    b = InterleaveMatrix(seed=7)
+    case = "mkdir-create"
+    assert (a.run_case(_case(a, case), (SEQUENTIAL, ZOMBIE))
+            == b.run_case(_case(b, case), (SEQUENTIAL, ZOMBIE)))
+
+
+def test_every_case_has_multiple_interleaving_points(matrix):
+    """Each first op is genuinely multi-mutation: a single-put op would
+    make the interleaving sweep vacuous."""
+    for name in CASE_NAMES:
+        total = matrix.count_points(_case(matrix, name))
+        assert total >= 3, f"{name}: only {total} mutations"
 
 
 def test_sequential_baseline_applies_everything(matrix):
@@ -77,19 +91,3 @@ def test_crash_rides_roll_forward(matrix):
     assert any(o.outcome == "all_applied" for o in outcomes)
     assert any(o.outcome == "first_rolled_back" for o in outcomes)
     assert all(o.consistent for o in outcomes)
-
-
-def test_matrix_is_deterministic_per_seed():
-    a = InterleaveMatrix(seed=7)
-    b = InterleaveMatrix(seed=7)
-    case = "mkdir-create"
-    assert (a.run_case(_case(a, case), (SEQUENTIAL, ZOMBIE))
-            == b.run_case(_case(b, case), (SEQUENTIAL, ZOMBIE)))
-
-
-def test_every_case_has_multiple_interleaving_points(matrix):
-    """Each first op is genuinely multi-mutation: a single-put op would
-    make the interleaving sweep vacuous."""
-    for name in CASE_NAMES:
-        total = matrix.count_points(_case(matrix, name))
-        assert total >= 3, f"{name}: only {total} mutations"

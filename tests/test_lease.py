@@ -26,11 +26,11 @@ from repro.fs.volume import SharoesVolume
 from repro.principals.groups import GroupKeyService
 from repro.sim.clock import SimClock
 from repro.storage.blobs import BlobId, journal_blob, lease_blob
-from repro.storage.resilient import CrashingServer, ServerWrapper
+from repro.storage.resilient import (CrashingServer, PauseServer,
+                                     ServerWrapper)
 from repro.storage.server import StorageServer, fence_epoch
 from repro.storage.wire import RemoteStorageClient, SspServer
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.interleave import PauseServer
 
 _LEASE_S = 5.0
 

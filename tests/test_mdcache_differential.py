@@ -1,7 +1,7 @@
 """The verified metadata cache proven correct, twice over.
 
-Part 1 -- **cached-vs-uncached differential** (modeled on
-``tests/test_batch_differential.py``): every seeded workload runs with
+Part 1 -- **cached-vs-uncached differential** (the shared
+``differential_run`` fixture in conftest.py): every seeded workload runs with
 ``ClientConfig(mdcache=True)`` against the strict re-fetch-per-open
 reference (``mdcache=False``).  The cache only changes *read* paths --
 decrypt/verify consume no entropy -- so under pinned entropy the two
@@ -37,165 +37,47 @@ zero stale-served cells.
 
 from __future__ import annotations
 
-import random
-import secrets
-from contextlib import contextmanager
-
 import pytest
 
 from repro.errors import ClientCrashed, LeaseLostError, PermissionDenied
 from repro.fs.client import ClientConfig, SharoesFilesystem
 from repro.fs.freshness import StaleObjectError
 from repro.fs.mdcache import _VerifiedView
-from repro.fs.permissions import DIRECTORY, AclEntry
 from repro.fs.volume import SharoesVolume, meta_blob
 from repro.principals.groups import GroupKeyService
 from repro.crypto.provider import CryptoProvider
 from repro.sim.clock import SimClock
-from repro.storage.resilient import CrashingServer
+from repro.storage.resilient import CrashingServer, PauseServer
 from repro.storage.server import StorageServer
 from repro.tools.fsck import VolumeAuditor
-from repro.tools.interleave import PauseServer
-from repro.workloads.runner import BenchEnv, make_env
-
-_SEED = 0xCACE
+from repro.workloads.runner import make_env
 
 
 # -- part 1: cached-vs-uncached differential ---------------------------------
 
 
-class _SeededEntropy:
-    """Drop-in for the ``secrets`` functions the crypto stack uses."""
+@pytest.fixture
+def mdcache_run(differential_run):
+    """The differential run plus the client (for its cache counters)."""
 
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+    def run(workload: str, mdcache: bool):
+        env, snap = differential_run(workload, seed=0xCACE,
+                                     force={"mdcache": mdcache})
+        return dict(snap, fs=env.fs)
 
-    def token_bytes(self, n: int) -> bytes:
-        return self._rng.randbytes(n)
-
-    def randbelow(self, n: int) -> int:
-        return self._rng.randrange(n)
-
-    def randbits(self, k: int) -> int:
-        return self._rng.getrandbits(k)
+    return run
 
 
-@contextmanager
-def _pinned_entropy(seed: int = _SEED):
-    det = _SeededEntropy(seed)
-    saved = (secrets.token_bytes, secrets.randbelow, secrets.randbits)
-    secrets.token_bytes = det.token_bytes
-    secrets.randbelow = det.randbelow
-    secrets.randbits = det.randbits
-    try:
-        yield
-    finally:
-        secrets.token_bytes, secrets.randbelow, secrets.randbits = saved
-
-
-@contextmanager
-def _forced_config(**overrides):
-    """Stamp config fields onto every client a run mounts (workloads
-    mount fresh clients with their own configs; the differential axis
-    must reach those too)."""
-    original = BenchEnv.fresh_client
-
-    def stamped(self, config=None, reset_cost=True):
-        config = config if config is not None else ClientConfig()
-        for name, value in overrides.items():
-            setattr(config, name, value)
-        return original(self, config=config, reset_cost=reset_cost)
-
-    BenchEnv.fresh_client = stamped
-    try:
-        yield
-    finally:
-        BenchEnv.fresh_client = original
-
-
-def _sharing_script(env: BenchEnv) -> None:
-    """ACL grants, revocation (re-encryption), chown, rename, unlink --
-    the mutation mix whose invalidations the cache must survive."""
-    fs = env.fs
-    payload = b"collaborative document " * 40
-    fs.mkdir("/proj", mode=0o755)
-    for i in range(6):
-        fs.create_file(f"/proj/f{i}", payload + bytes([i]), mode=0o644)
-    fs.set_acl("/proj/f0", (AclEntry("bob", 0o4),))
-    fs.set_acl("/proj/f1", (AclEntry("bob", 0o6),))
-    fs.chmod("/proj/f2", 0o600)
-    fs.chown("/proj/f3", "bob")
-    fs.set_acl("/proj/f0", ())
-    fs.rename("/proj/f4", "/proj/g4")
-    fs.unlink("/proj/f5")
-
-
-def _run_workload(workload: str, env: BenchEnv) -> None:
-    if workload == "postmark":
-        import itertools
-
-        from repro.workloads import postmark
-        postmark._RUN_COUNTER = itertools.count()
-        postmark.run_postmark(env, files=30, transactions=40, subdirs=3)
-    elif workload == "andrew":
-        from repro.workloads.andrew import run_andrew
-        run_andrew(env)
-    elif workload == "createlist":
-        from repro.workloads.createlist import run_create_and_list
-        run_create_and_list(env, files=60, dirs=6)
-    elif workload == "sharing":
-        _sharing_script(env)
-    else:  # pragma: no cover
-        raise AssertionError(workload)
-
-
-def _visible_tree(fs, path: str = "/") -> dict:
-    """Everything an application can see below ``path``."""
-    out = {}
-    for name in sorted(fs.readdir(path)):
-        child = (path.rstrip("/") + "/" + name)
-        stat = fs.getattr(child)
-        entry = {"stat": stat}
-        if stat.ftype == DIRECTORY:
-            entry["children"] = _visible_tree(fs, child)
-        else:
-            try:
-                entry["content"] = fs.read_file(child)
-            except Exception as exc:  # symlinks etc.: record the shape
-                entry["content"] = type(exc).__name__
-        out[name] = entry
-    return out
-
-
-def _differential_run(workload: str, mdcache: bool):
-    with _pinned_entropy(), _forced_config(mdcache=mdcache):
-        config = ClientConfig(mdcache=mdcache)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
-        fs = env.fs
-        return {
-            "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
-            "requests": fs.request_count,
-            "volume": env._volume,
-            "fs": fs,
-        }
-
-
-WORKLOADS = ("postmark", "andrew", "createlist", "sharing")
-
-
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_mdcache_differential(workload):
-    cached = _differential_run(workload, mdcache=True)
-    strict = _differential_run(workload, mdcache=False)
+def test_mdcache_differential(mdcache_run, workload):
+    cached = mdcache_run(workload, mdcache=True)
+    strict = mdcache_run(workload, mdcache=False)
 
     # Byte-identical final SSP state: same blob ids, same ciphertext.
     assert set(cached["blobs"]) == set(strict["blobs"])
     assert cached["blobs"] == strict["blobs"]
 
     # Identical visible semantics (tree, stats, plaintext reads --
-    # _visible_tree re-reads every file through both clients).
+    # visible_tree re-reads every file through both clients).
     assert cached["tree"] == strict["tree"]
 
     # The cache never *adds* round trips.
@@ -211,12 +93,12 @@ def test_mdcache_differential(workload):
     assert report.clean, report
 
 
-def test_mdcache_differential_andrew_saves_requests():
+def test_mdcache_differential_andrew_saves_requests(mdcache_run):
     """Andrew's phase boundaries are the whole point: the strict model
     re-fetches every walked component after each ``revalidate()``, the
     verified cache keeps them warm -- strictly fewer round trips."""
-    cached = _differential_run("andrew", mdcache=True)
-    strict = _differential_run("andrew", mdcache=False)
+    cached = mdcache_run("andrew", mdcache=True)
+    strict = mdcache_run("andrew", mdcache=False)
     assert cached["requests"] < strict["requests"]
     mdc = cached["fs"].mdcache
     assert mdc.hits > 0

@@ -514,7 +514,7 @@ class TestMidRunRebalance:
 def matrix():
     from repro.tools.rebalancematrix import RebalanceMatrix
     m = RebalanceMatrix(seed=7)
-    m.total = m.count_points()
+    m.total = m.count_points(m.target_ring)
     return m
 
 
@@ -524,5 +524,5 @@ def test_sampled_crash_matrix(matrix, variant):
     total = matrix.total
     ks = sorted({1, 2, total // 3, total // 2, total - 1, total})
     for k in ks:
-        outcome = matrix.run_cell(k, variant, total)
+        outcome = matrix.run_cell(matrix.target_ring, variant, k, total)
         assert outcome.consistent, (variant, k, outcome)

@@ -26,8 +26,6 @@ from repro.storage.server import BatchOp
 from repro.storage.shards import ShardedServer, ShardOutageServer
 from repro.tools.fsck import VolumeAuditor
 from repro.workloads.runner import make_env
-from tests.test_batch_differential import (_pinned_entropy, _run_workload,
-                                           _visible_tree)
 
 
 def _lease(inode: int) -> BlobId:
@@ -388,38 +386,40 @@ class TestHarnessSurfaces:
 # acceptance: seeded workloads, one shard killed mid-run
 
 
-def _reference_run(workload: str):
-    with _pinned_entropy():
-        env = make_env("sharoes", extra_users=("bob",))
-        t0 = env.cost.clock.now
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
-                "blobs": env.server.raw_blobs(),
-                "duration": env.cost.clock.now - t0,
-                "volume": env._volume}
+@pytest.fixture
+def reference_run(differential_run):
+    """The unsharded single-SSP run, plus its simulated duration."""
+
+    def run(workload: str):
+        start = []
+        env, snap = differential_run(
+            workload, before=lambda env: start.append(env.cost.clock.now))
+        return dict(snap, duration=env.cost.clock.now - start[0])
+
+    return run
 
 
-def _sharded_killed_run(workload: str, kill: int, duration: float):
-    with _pinned_entropy():
-        config = ClientConfig(shards=4, replicas=2)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        server = env.server
+def _sharded_killed_run(differential_run, workload: str, kill: int,
+                        duration: float):
+    def kill_mid_run(env) -> None:
         # The shard dies mid-workload (40% through the reference run's
         # simulated timeline) and never comes back until repair time.
-        server.outage(kill, start_s=env.cost.clock.now + 0.4 * duration)
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
-                "blobs": server.raw_blobs(),
-                "server": server,
-                "volume": env._volume}
+        env.server.outage(kill,
+                          start_s=env.cost.clock.now + 0.4 * duration)
+
+    env, snap = differential_run(
+        workload, config=ClientConfig(shards=4, replicas=2),
+        before=kill_mid_run)
+    return dict(snap, server=env.server)
 
 
 @pytest.mark.parametrize("workload,kills", [("postmark", (0, 1, 2, 3)),
                                             ("andrew", (0, 2))])
-def test_kill_any_shard_mid_workload(workload, kills):
-    reference = _reference_run(workload)
+def test_kill_any_shard_mid_workload(differential_run, reference_run,
+                                     workload, kills):
+    reference = reference_run(workload)
     for kill in kills:
-        sharded = _sharded_killed_run(workload, kill,
+        sharded = _sharded_killed_run(differential_run, workload, kill,
                                       reference["duration"])
         server = sharded["server"]
         # Zero data loss: the visible plaintext tree is byte-identical
@@ -466,8 +466,8 @@ def _reb_key():
     return _REB_KEY
 
 
-def _sharded_rebalanced_run(workload: str, members, replicas: int,
-                            spares: int):
+def _sharded_rebalanced_run(differential_run, workload: str, members,
+                            replicas: int, spares: int):
     """Sharded run with a live rebalance spanning the workload.
 
     The plan is proposed + staged at the 40th client mutation and
@@ -477,13 +477,12 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
     from repro.storage.rebalance import (VERIFIED, MidRunRebalance,
                                          Rebalancer)
     key = _reb_key()
-    with _pinned_entropy():
-        config = ClientConfig(shards=4, replicas=2)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
+    holder = {}
+
+    def arm_rebalance(env) -> None:
         server = env.server
         for _ in range(spares):
             server.add_shard()
-        holder = {}
 
         def stage_plan():
             reb = Rebalancer(server, keypair=key)
@@ -494,15 +493,14 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
         def finish_plan():
             holder["reb"].execute()
 
-        trigger = MidRunRebalance(server, [(40, stage_plan),
-                                           (80, finish_plan)])
-        env._client_server = trigger
-        _run_workload(workload, env)
-        return {"tree": _visible_tree(env.fs),
-                "blobs": server.raw_blobs(),
-                "server": server,
-                "volume": env._volume,
-                "trigger": trigger}
+        holder["trigger"] = MidRunRebalance(server, [(40, stage_plan),
+                                                     (80, finish_plan)])
+        env._client_server = holder["trigger"]
+
+    env, snap = differential_run(
+        workload, config=ClientConfig(shards=4, replicas=2),
+        before=arm_rebalance)
+    return dict(snap, server=env.server, trigger=holder["trigger"])
 
 
 @pytest.mark.parametrize("name,members,replicas,spares", [
@@ -510,11 +508,12 @@ def _sharded_rebalanced_run(workload: str, members, replicas: int,
     ("shrink", (0, 1, 2), 2, 0),
     ("re-replicate", (0, 1, 2, 3), 3, 0),
 ])
-def test_online_rebalance_mid_workload(name, members, replicas, spares):
+def test_online_rebalance_mid_workload(differential_run, reference_run,
+                                      name, members, replicas, spares):
     from repro.storage.shards import RingSpec
-    reference = _reference_run("postmark")
-    sharded = _sharded_rebalanced_run("postmark", members, replicas,
-                                      spares)
+    reference = reference_run("postmark")
+    sharded = _sharded_rebalanced_run(differential_run, "postmark",
+                                      members, replicas, spares)
     server = sharded["server"]
     # Both stages really fired inside the workload window.
     assert sharded["trigger"].fired == 2, name

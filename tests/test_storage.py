@@ -7,8 +7,8 @@ from repro.storage.accounting import monthly_storage_dollars
 from repro.storage.blobs import (BlobId, data_blob, group_key_blob,
                                  lockbox_blob, meta_blob, principal_hash,
                                  superblock_blob)
-from repro.storage.faults import (FlakyServer, RollbackServer,
-                                  TamperingServer)
+from repro.storage.faults import RollbackServer, TamperingServer
+from repro.storage.resilient import FlakyServer
 from repro.storage.server import StorageServer
 
 
@@ -130,8 +130,10 @@ class TestFaultServers:
         assert server.get(meta_blob(1, "o")) == b"v2"
 
     def test_flaky_failures_deterministic(self):
-        a = FlakyServer(failure_rate=0.5, seed=42)
-        b = FlakyServer(failure_rate=0.5, seed=42)
+        a = FlakyServer(StorageServer(), seed=42,
+                        failure_rate={"put": 0.5, "get": 0.5})
+        b = FlakyServer(StorageServer(), seed=42,
+                        failure_rate={"put": 0.5, "get": 0.5})
         outcomes_a, outcomes_b = [], []
         for outcomes, server in ((outcomes_a, a), (outcomes_b, b)):
             for i in range(20):
@@ -146,10 +148,12 @@ class TestFaultServers:
 
     def test_flaky_rate_bounds(self):
         with pytest.raises(ValueError):
-            FlakyServer(failure_rate=1.5)
+            FlakyServer(StorageServer(),
+                        failure_rate={"put": 1.5, "get": 1.5})
 
     def test_flaky_zero_never_fails(self):
-        server = FlakyServer(failure_rate=0.0)
+        server = FlakyServer(StorageServer(),
+                             failure_rate={"put": 0.0, "get": 0.0})
         for i in range(50):
             server.put(meta_blob(i, "o"), b"x")
 

@@ -1,7 +1,7 @@
 """Differential harness: wire tracing is zero-cost, on or off.
 
-Reuses the pinned-entropy machinery of ``test_batch_differential``: the
-same seeded workload runs with ``ClientConfig(wire_trace=True)`` and
+Reuses the pinned-entropy ``differential_run`` fixture (conftest.py):
+the same seeded workload runs with ``ClientConfig(wire_trace=True)`` and
 ``wire_trace=False``, and the two runs must be indistinguishable to
 everything except the observer:
 
@@ -21,40 +21,32 @@ import threading
 
 import pytest
 
-from repro.fs.client import ClientConfig
 from repro.storage.blobs import data_blob, meta_blob
 from repro.storage.server import BatchOp, StorageServer
 from repro.storage.wire import (TRACE_FLAG, RemoteStorageClient, SspServer)
-from repro.workloads.runner import make_env
-
-from tests.test_batch_differential import (_forced_config, _pinned_entropy,
-                                           _run_workload, _visible_tree)
-
-WORKLOADS = ("createlist", "sharing")
 
 
-def _traced_differential_run(workload: str, wire_trace: bool):
-    with _pinned_entropy(), _forced_config(wire_trace=wire_trace):
-        config = ClientConfig(wire_trace=wire_trace)
-        env = make_env("sharoes", config=config, extra_users=("bob",))
-        _run_workload(workload, env)
+@pytest.fixture
+def traced_run(differential_run):
+    """The differential run plus traffic accounting and span count."""
+
+    def run(workload: str, wire_trace: bool):
+        env, snap = differential_run(workload,
+                                     force={"wire_trace": wire_trace})
         fs = env.fs
-        return {
-            "blobs": env.server.raw_blobs(),
-            "tree": _visible_tree(fs),
-            "requests": fs.request_count,
-            "wall": env.cost.totals.total,
-            "bytes_received": env.server.stats.bytes_received,
-            "bytes_served": env.server.stats.bytes_served,
-            "traced_spans": (len(fs.traced_server.spans)
-                             if fs.traced_server is not None else 0),
-        }
+        return dict(snap, wall=env.cost.totals.total,
+                    bytes_received=env.server.stats.bytes_received,
+                    bytes_served=env.server.stats.bytes_served,
+                    traced_spans=(len(fs.traced_server.spans)
+                                  if fs.traced_server is not None else 0))
+
+    return run
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_wire_trace_differential(workload):
-    traced = _traced_differential_run(workload, wire_trace=True)
-    plain = _traced_differential_run(workload, wire_trace=False)
+@pytest.mark.parametrize("workload", ("createlist", "sharing"))
+def test_wire_trace_differential(traced_run, workload):
+    traced = traced_run(workload, wire_trace=True)
+    plain = traced_run(workload, wire_trace=False)
 
     # Byte-identical final SSP state and visible semantics.
     assert traced["blobs"] == plain["blobs"]
